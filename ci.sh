@@ -35,6 +35,13 @@
 #                  loopback servers and diffs the distributed campaign
 #                  digest against the in-process one, in release under
 #                  the same hard wall-clock guard as `service`
+#   bench_smoke -- builds the repository benchmark (perfbench/) and runs
+#                  both workloads for 3 s each with tracing off, under a
+#                  hard wall-clock guard. perfbench exits non-zero when
+#                  a check fails — its serving workload replays 1 in 16
+#                  served records in process bit for bit — so this
+#                  stage checks that the server serves exactly the
+#                  records the benchmark measures
 #   perf        -- regression gate: regenerates BENCH_runtime.json,
 #                  BENCH_service.json, BENCH_dsp.json,
 #                  BENCH_interleave.json, and BENCH_cluster.json in a
@@ -56,7 +63,7 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-ALL_STAGES=(fmt clippy lint build test determinism service cluster perf)
+ALL_STAGES=(fmt clippy lint build test determinism service cluster bench_smoke perf)
 DENY_PERF=0
 SELECTED=()
 for arg in "$@"; do
@@ -184,6 +191,17 @@ stage_service() {
 
 stage_cluster() {
   timeout 300 cargo test -q --release --test cluster
+}
+
+stage_bench_smoke() {
+  for workload in campaign_yield serve_small; do
+    timeout 900 cargo run --quiet --offline --release \
+      --manifest-path perfbench/Cargo.toml -- \
+      --workload "$workload" --seed 1 --seconds 3 --trace 0 \
+      > "$SCRATCH/bench_smoke_$workload.out"
+    # The last stdout line is the run's JSON summary.
+    tail -n 1 "$SCRATCH/bench_smoke_$workload.out"
+  done
 }
 
 stage_perf() {

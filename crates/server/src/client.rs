@@ -4,13 +4,16 @@
 //! blocking calls: [`Client::ping`], [`Client::digitize`] (reassembles
 //! the streamed batches and verifies the stream CRC),
 //! [`Client::metrics`], and [`Client::shutdown`]. Requests on one
-//! `Client` are sequential.
+//! `Client` are sequential: a digitization is a `Submit` under a fixed
+//! correlation id whose tagged frames are read until the request ends.
 //!
 //! [`PipelinedClient`] keeps many requests in flight on one connection:
 //! each [`PipelinedClient::submit`] assigns a correlation id and
 //! returns immediately; [`PipelinedClient::next_completion`] yields
-//! finished requests in whatever order the server completes them, with
-//! the same reassembly and CRC verification as the blocking path.
+//! finished requests in whatever order the server completes them.
+//!
+//! Both clients feed stream frames through one reassembly that checks
+//! batch ordering, the element count, and the server's stream CRC.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Write};
@@ -22,6 +25,10 @@ use crate::protocol::{
     ErrorCode, FrameAssembler, FrameReadError, GangedDone, GangedRequest, JobBatchRequest,
     JobResultBatch, MetricsSnapshot, Request, Response, SubmitBody, SubmitRequest, WireError,
 };
+
+/// Correlation id the blocking [`Client`] submits under: it has one
+/// request in flight at a time, so one fixed id suffices.
+const BLOCKING_CORR: u64 = 1;
 use crate::server::{stream_crc, value_stream_crc};
 
 /// Everything a client call can fail with.
@@ -154,6 +161,40 @@ impl Client {
         }
     }
 
+    /// Submits `body` and reads its tagged frames until the request
+    /// ends. A typed error frame ends it as [`ClientError::Server`].
+    fn run(&mut self, body: SubmitBody) -> Result<PipelinedOutcome, ClientError> {
+        let mut accum = Accum::for_body(&body);
+        self.send(&Request::Submit(SubmitRequest {
+            corr_id: BLOCKING_CORR,
+            body,
+        }))?;
+        loop {
+            let frame = match self.recv()? {
+                Response::Tagged {
+                    corr_id: BLOCKING_CORR,
+                    inner,
+                } => *inner,
+                // An untagged error is connection-level (protocol fault).
+                Response::Error { code, detail } => {
+                    return Err(ClientError::Server { code, detail })
+                }
+                _ => {
+                    return Err(ClientError::UnexpectedResponse(
+                        "expected a frame of the submitted request",
+                    ))
+                }
+            };
+            match accum.feed(frame)? {
+                None => {}
+                Some(PipelinedOutcome::ServerError { code, detail }) => {
+                    return Err(ClientError::Server { code, detail })
+                }
+                Some(outcome) => return Ok(outcome),
+            }
+        }
+    }
+
     /// Runs one digitization, blocking until the full record has
     /// streamed back. Verifies batch ordering, the sample count, and
     /// the server's stream CRC before returning.
@@ -164,51 +205,11 @@ impl Client {
     /// errors like `TimedOut`), and [`ClientError::StreamCorrupt`] if
     /// reassembly fails a consistency check.
     pub fn digitize(&mut self, request: &DigitizeRequest) -> Result<DigitizeResult, ClientError> {
-        self.send(&Request::Digitize(request.clone()))?;
-        let mut samples: Vec<u16> = Vec::new();
-        let mut next_seq = 0u32;
-        loop {
-            match self.recv()? {
-                Response::Batch {
-                    seq,
-                    samples: chunk,
-                } => {
-                    if seq != next_seq {
-                        return Err(ClientError::StreamCorrupt(format!(
-                            "batch {seq} arrived, expected {next_seq}"
-                        )));
-                    }
-                    next_seq += 1;
-                    samples.extend_from_slice(&chunk);
-                }
-                Response::Done(done) => {
-                    if done.total_samples as usize != samples.len() {
-                        return Err(ClientError::StreamCorrupt(format!(
-                            "done claims {} samples, reassembled {}",
-                            done.total_samples,
-                            samples.len()
-                        )));
-                    }
-                    if done.batches != next_seq {
-                        return Err(ClientError::StreamCorrupt(format!(
-                            "done claims {} batches, received {}",
-                            done.batches, next_seq
-                        )));
-                    }
-                    let crc = stream_crc(&samples);
-                    if crc != done.stream_crc32 {
-                        return Err(ClientError::StreamCorrupt(format!(
-                            "stream CRC {:08x} != server's {:08x}",
-                            crc, done.stream_crc32
-                        )));
-                    }
-                    return Ok(DigitizeResult { samples, done });
-                }
-                Response::Error { code, detail } => {
-                    return Err(ClientError::Server { code, detail })
-                }
-                _ => return Err(ClientError::UnexpectedResponse("expected batch or done")),
-            }
+        match self.run(SubmitBody::Digitize(request.clone()))? {
+            PipelinedOutcome::Digitize(result) => Ok(result),
+            _ => Err(ClientError::UnexpectedResponse(
+                "expected a digitize record",
+            )),
         }
     }
 
@@ -227,52 +228,9 @@ impl Client {
         &mut self,
         request: &GangedRequest,
     ) -> Result<GangedResult, ClientError> {
-        self.send(&Request::Ganged(request.clone()))?;
-        let mut values: Vec<f64> = Vec::new();
-        let mut next_seq = 0u32;
-        loop {
-            match self.recv()? {
-                Response::GangedBatch { seq, values: chunk } => {
-                    if seq != next_seq {
-                        return Err(ClientError::StreamCorrupt(format!(
-                            "batch {seq} arrived, expected {next_seq}"
-                        )));
-                    }
-                    next_seq += 1;
-                    values.extend_from_slice(&chunk);
-                }
-                Response::GangedDone(done) => {
-                    if done.total_samples as usize != values.len() {
-                        return Err(ClientError::StreamCorrupt(format!(
-                            "done claims {} values, reassembled {}",
-                            done.total_samples,
-                            values.len()
-                        )));
-                    }
-                    if done.batches != next_seq {
-                        return Err(ClientError::StreamCorrupt(format!(
-                            "done claims {} batches, received {}",
-                            done.batches, next_seq
-                        )));
-                    }
-                    let crc = value_stream_crc(&values);
-                    if crc != done.stream_crc32 {
-                        return Err(ClientError::StreamCorrupt(format!(
-                            "stream CRC {:08x} != server's {:08x}",
-                            crc, done.stream_crc32
-                        )));
-                    }
-                    return Ok(GangedResult { values, done });
-                }
-                Response::Error { code, detail } => {
-                    return Err(ClientError::Server { code, detail })
-                }
-                _ => {
-                    return Err(ClientError::UnexpectedResponse(
-                        "expected ganged batch or done",
-                    ))
-                }
-            }
+        match self.run(SubmitBody::Ganged(request.clone()))? {
+            PipelinedOutcome::Ganged(result) => Ok(result),
+            _ => Err(ClientError::UnexpectedResponse("expected a ganged record")),
         }
     }
 
@@ -405,11 +363,133 @@ pub enum PipelinedOutcome {
     },
 }
 
-/// In-progress reassembly of one pipelined request.
+/// In-progress reassembly of one streamed record: codes (`u16`) for
+/// single-die digitizations, bit-exact volts (`f64`) for ganged ones.
+#[derive(Debug)]
+struct Reassembly<T> {
+    items: Vec<T>,
+    next_seq: u32,
+}
+
+impl<T: Copy> Reassembly<T> {
+    fn new() -> Self {
+        Self {
+            items: Vec::new(),
+            next_seq: 0,
+        }
+    }
+
+    /// Appends batch `seq`, which must be the next in order.
+    fn push(&mut self, seq: u32, chunk: &[T]) -> Result<(), ClientError> {
+        if seq != self.next_seq {
+            return Err(ClientError::StreamCorrupt(format!(
+                "batch {seq} arrived, expected {}",
+                self.next_seq
+            )));
+        }
+        self.next_seq += 1;
+        self.items.extend_from_slice(chunk);
+        Ok(())
+    }
+
+    /// Checks the reassembled record against the server's summary
+    /// (`crc_of` is the element type's stream CRC) and hands it over.
+    fn finish(
+        &mut self,
+        total: u32,
+        batches: u32,
+        crc: u32,
+        crc_of: fn(&[T]) -> u32,
+    ) -> Result<Vec<T>, ClientError> {
+        let corrupt = |detail: String| Err(ClientError::StreamCorrupt(detail));
+        if total as usize != self.items.len() {
+            return corrupt(format!(
+                "done claims {total} samples, reassembled {}",
+                self.items.len()
+            ));
+        }
+        if batches != self.next_seq {
+            return corrupt(format!(
+                "done claims {batches} batches, received {}",
+                self.next_seq
+            ));
+        }
+        let got = crc_of(&self.items);
+        if got != crc {
+            return corrupt(format!("stream CRC {got:08x} != server's {crc:08x}"));
+        }
+        Ok(std::mem::take(&mut self.items))
+    }
+}
+
+/// In-progress reassembly of one submitted request, by body kind.
 #[derive(Debug)]
 enum Accum {
-    Digitize { samples: Vec<u16>, next_seq: u32 },
-    Ganged { values: Vec<f64>, next_seq: u32 },
+    Digitize(Reassembly<u16>),
+    Ganged(Reassembly<f64>),
+}
+
+impl Accum {
+    fn for_body(body: &SubmitBody) -> Self {
+        match body {
+            SubmitBody::Digitize(_) => Self::Digitize(Reassembly::new()),
+            SubmitBody::Ganged(_) => Self::Ganged(Reassembly::new()),
+        }
+    }
+
+    /// Feeds one frame of this request's stream (the inner frame of a
+    /// [`Response::Tagged`]). Returns the outcome once the request is
+    /// over: its record passed every check, or a typed error ended it.
+    fn feed(&mut self, frame: Response) -> Result<Option<PipelinedOutcome>, ClientError> {
+        let outcome = match (self, frame) {
+            (Self::Digitize(r), Response::Batch { seq, samples }) => {
+                r.push(seq, &samples)?;
+                return Ok(None);
+            }
+            (Self::Ganged(r), Response::GangedBatch { seq, values }) => {
+                r.push(seq, &values)?;
+                return Ok(None);
+            }
+            (Self::Digitize(r), Response::Done(done)) => {
+                let samples = r.finish(
+                    done.total_samples,
+                    done.batches,
+                    done.stream_crc32,
+                    stream_crc,
+                )?;
+                PipelinedOutcome::Digitize(DigitizeResult { samples, done })
+            }
+            (Self::Ganged(r), Response::GangedDone(done)) => {
+                let values = r.finish(
+                    done.total_samples,
+                    done.batches,
+                    done.stream_crc32,
+                    value_stream_crc,
+                )?;
+                PipelinedOutcome::Ganged(GangedResult { values, done })
+            }
+            // Typed per-request failure (validation, overload shed,
+            // deadline): the request is over, the connection fine.
+            (_, Response::Error { code, detail }) => PipelinedOutcome::ServerError { code, detail },
+            (
+                _,
+                Response::Batch { .. }
+                | Response::Done(_)
+                | Response::GangedBatch { .. }
+                | Response::GangedDone(_),
+            ) => {
+                return Err(ClientError::StreamCorrupt(
+                    "record frame of the other body kind".to_string(),
+                ))
+            }
+            _ => {
+                return Err(ClientError::UnexpectedResponse(
+                    "unexpected tagged frame kind",
+                ))
+            }
+        };
+        Ok(Some(outcome))
+    }
 }
 
 /// A pipelined connection: many requests in flight at once, completed
@@ -510,22 +590,7 @@ impl PipelinedClient {
     ///
     /// Transport failures writing the request frame.
     pub fn submit(&mut self, request: &DigitizeRequest) -> Result<u64, ClientError> {
-        let corr = self.next_corr;
-        self.next_corr += 1;
-        let frame = encode_request(&Request::Submit(SubmitRequest {
-            corr_id: corr,
-            body: SubmitBody::Digitize(request.clone()),
-        }));
-        self.stream.write_all(&frame)?;
-        self.stream.flush()?;
-        self.pending.insert(
-            corr,
-            Accum::Digitize {
-                samples: Vec::new(),
-                next_seq: 0,
-            },
-        );
-        Ok(corr)
+        self.submit_body(SubmitBody::Digitize(request.clone()))
     }
 
     /// Submits a ganged digitization without waiting, returning its
@@ -535,21 +600,20 @@ impl PipelinedClient {
     ///
     /// Transport failures writing the request frame.
     pub fn submit_ganged(&mut self, request: &GangedRequest) -> Result<u64, ClientError> {
+        self.submit_body(SubmitBody::Ganged(request.clone()))
+    }
+
+    fn submit_body(&mut self, body: SubmitBody) -> Result<u64, ClientError> {
         let corr = self.next_corr;
         self.next_corr += 1;
+        let accum = Accum::for_body(&body);
         let frame = encode_request(&Request::Submit(SubmitRequest {
             corr_id: corr,
-            body: SubmitBody::Ganged(request.clone()),
+            body,
         }));
         self.stream.write_all(&frame)?;
         self.stream.flush()?;
-        self.pending.insert(
-            corr,
-            Accum::Ganged {
-                values: Vec::new(),
-                next_seq: 0,
-            },
-        );
+        self.pending.insert(corr, accum);
         Ok(corr)
     }
 
@@ -635,122 +699,22 @@ impl PipelinedClient {
                 ))
             }
         };
-        let corrupt = |detail: String| Err(ClientError::StreamCorrupt(detail));
-        match inner {
-            Response::Batch {
-                seq,
-                samples: chunk,
-            } => match self.pending.get_mut(&corr) {
-                Some(Accum::Digitize { samples, next_seq }) => {
-                    if seq != *next_seq {
-                        return corrupt(format!(
-                            "request {corr}: batch {seq} arrived, expected {next_seq}"
-                        ));
-                    }
-                    *next_seq += 1;
-                    samples.extend_from_slice(&chunk);
-                    Ok(())
-                }
-                Some(Accum::Ganged { .. }) => {
-                    corrupt(format!("request {corr}: code batch on a ganged request"))
-                }
-                None => corrupt(format!("batch for unknown request {corr}")),
-            },
-            Response::Done(done) => match self.pending.remove(&corr) {
-                Some(Accum::Digitize { samples, next_seq }) => {
-                    if done.total_samples as usize != samples.len() {
-                        return corrupt(format!(
-                            "request {corr}: done claims {} samples, reassembled {}",
-                            done.total_samples,
-                            samples.len()
-                        ));
-                    }
-                    if done.batches != next_seq {
-                        return corrupt(format!(
-                            "request {corr}: done claims {} batches, received {next_seq}",
-                            done.batches
-                        ));
-                    }
-                    let crc = stream_crc(&samples);
-                    if crc != done.stream_crc32 {
-                        return corrupt(format!(
-                            "request {corr}: stream CRC {:08x} != server's {:08x}",
-                            crc, done.stream_crc32
-                        ));
-                    }
-                    self.ready.push_back((
-                        corr,
-                        PipelinedOutcome::Digitize(DigitizeResult { samples, done }),
-                    ));
-                    Ok(())
-                }
-                Some(other) => {
-                    self.pending.insert(corr, other);
-                    corrupt(format!("request {corr}: done on a ganged request"))
-                }
-                None => corrupt(format!("done for unknown request {corr}")),
-            },
-            Response::GangedBatch { seq, values: chunk } => match self.pending.get_mut(&corr) {
-                Some(Accum::Ganged { values, next_seq }) => {
-                    if seq != *next_seq {
-                        return corrupt(format!(
-                            "request {corr}: batch {seq} arrived, expected {next_seq}"
-                        ));
-                    }
-                    *next_seq += 1;
-                    values.extend_from_slice(&chunk);
-                    Ok(())
-                }
-                Some(Accum::Digitize { .. }) => corrupt(format!(
-                    "request {corr}: ganged batch on a digitize request"
-                )),
-                None => corrupt(format!("ganged batch for unknown request {corr}")),
-            },
-            Response::GangedDone(done) => match self.pending.remove(&corr) {
-                Some(Accum::Ganged { values, next_seq }) => {
-                    if done.total_samples as usize != values.len() {
-                        return corrupt(format!(
-                            "request {corr}: done claims {} values, reassembled {}",
-                            done.total_samples,
-                            values.len()
-                        ));
-                    }
-                    if done.batches != next_seq {
-                        return corrupt(format!(
-                            "request {corr}: done claims {} batches, received {next_seq}",
-                            done.batches
-                        ));
-                    }
-                    let crc = value_stream_crc(&values);
-                    if crc != done.stream_crc32 {
-                        return corrupt(format!(
-                            "request {corr}: stream CRC {:08x} != server's {:08x}",
-                            crc, done.stream_crc32
-                        ));
-                    }
-                    self.ready.push_back((
-                        corr,
-                        PipelinedOutcome::Ganged(GangedResult { values, done }),
-                    ));
-                    Ok(())
-                }
-                Some(other) => {
-                    self.pending.insert(corr, other);
-                    corrupt(format!("request {corr}: ganged done on a digitize request"))
-                }
-                None => corrupt(format!("ganged done for unknown request {corr}")),
-            },
-            Response::Error { code, detail } => {
-                // Typed per-request failure (validation, overload shed,
-                // deadline): the request is over, the connection fine.
+        let Some(accum) = self.pending.get_mut(&corr) else {
+            return Err(ClientError::StreamCorrupt(format!(
+                "frame for unknown request {corr}"
+            )));
+        };
+        match accum.feed(inner) {
+            Ok(None) => Ok(()),
+            Ok(Some(outcome)) => {
                 self.pending.remove(&corr);
-                self.ready
-                    .push_back((corr, PipelinedOutcome::ServerError { code, detail }));
+                self.ready.push_back((corr, outcome));
                 Ok(())
             }
-            _ => Err(ClientError::UnexpectedResponse(
-                "unexpected tagged frame kind",
-            )),
+            Err(ClientError::StreamCorrupt(detail)) => Err(ClientError::StreamCorrupt(format!(
+                "request {corr}: {detail}"
+            ))),
+            Err(e) => Err(e),
         }
     }
 }

@@ -689,20 +689,17 @@ pub enum SubmitBody {
     Ganged(GangedRequest),
 }
 
-/// A pipelined digitization request: the client picks `corr_id` and may
-/// send further `Submit` frames without waiting; every response frame
-/// belonging to this request comes back wrapped in
-/// [`Response::Tagged`] with the same id, and requests complete in
-/// whatever order the server finishes them.
-///
-/// `corr_id == 0` selects **legacy ordered mode**: responses travel
-/// untagged and at most one id-0 request runs per connection at a time,
-/// exactly like the bare [`Request::Digitize`] / [`Request::Ganged`]
-/// frames (which are equivalent to a `Submit` with id 0).
+/// A digitization request — the only framing the server accepts for
+/// digitizing work. The client picks `corr_id` and may send further
+/// `Submit` frames without waiting; every response frame belonging to
+/// this request comes back wrapped in [`Response::Tagged`] with the same
+/// id, and requests complete in whatever order the server finishes
+/// them. Every id, `0` included, is an ordinary id; keeping ids unique
+/// among a connection's in-flight requests is the client's job.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SubmitRequest {
     /// Client-chosen correlation id; echoed on every response frame of
-    /// this request. `0` = legacy ordered mode.
+    /// this request.
     pub corr_id: u64,
     /// The digitization to run.
     pub body: SubmitBody,
@@ -716,30 +713,27 @@ pub enum Request {
         /// Opaque token echoed in the pong.
         token: u64,
     },
-    /// Digitize a waveform and stream the codes back.
-    Digitize(DigitizeRequest),
     /// Snapshot the server's metrics registry.
     Metrics,
     /// Begin graceful drain-then-shutdown.
     Shutdown,
-    /// Digitize through a time-interleaved array and stream the
-    /// interleaved record back.
-    Ganged(GangedRequest),
     /// Execute a batch of campaign jobs through the host's job runner.
     JobBatch(JobBatchRequest),
     /// Probe the host's warm cache for a set of canonical keys.
     CacheQuery(CacheQueryRequest),
     /// Merge computed entries into the host's warm cache.
     CacheFill(CacheFillRequest),
-    /// A pipelined digitization under a client-chosen correlation id.
+    /// A digitization (single-die or ganged) under a client-chosen
+    /// correlation id.
     Submit(SubmitRequest),
 }
 
+// 0x02 and 0x05 stay unassigned: a client still sending the retired
+// bare digitize/ganged frames must get a protocol error, never have its
+// bytes read as some other request.
 const KIND_PING: u8 = 0x01;
-const KIND_DIGITIZE: u8 = 0x02;
 const KIND_METRICS: u8 = 0x03;
 const KIND_SHUTDOWN: u8 = 0x04;
-const KIND_GANGED: u8 = 0x05;
 const KIND_JOB_BATCH: u8 = 0x06;
 const KIND_CACHE_QUERY: u8 = 0x07;
 const KIND_CACHE_FILL: u8 = 0x08;
@@ -825,10 +819,8 @@ impl Request {
     fn kind(&self) -> u8 {
         match self {
             Self::Ping { .. } => KIND_PING,
-            Self::Digitize(_) => KIND_DIGITIZE,
             Self::Metrics => KIND_METRICS,
             Self::Shutdown => KIND_SHUTDOWN,
-            Self::Ganged(_) => KIND_GANGED,
             Self::JobBatch(_) => KIND_JOB_BATCH,
             Self::CacheQuery(_) => KIND_CACHE_QUERY,
             Self::CacheFill(_) => KIND_CACHE_FILL,
@@ -840,8 +832,6 @@ impl Request {
         let mut w = PayloadWriter::new();
         match self {
             Self::Ping { token } => w.u64(*token),
-            Self::Digitize(d) => encode_digitize_fields(d, &mut w),
-            Self::Ganged(g) => encode_ganged_fields(g, &mut w),
             Self::Submit(s) => {
                 w.u64(s.corr_id);
                 match &s.body {
@@ -892,10 +882,8 @@ impl Request {
         let mut r = PayloadReader::new(payload);
         let request = match kind {
             KIND_PING => Self::Ping { token: r.u64()? },
-            KIND_DIGITIZE => Self::Digitize(decode_digitize_fields(&mut r)?),
             KIND_METRICS => Self::Metrics,
             KIND_SHUTDOWN => Self::Shutdown,
-            KIND_GANGED => Self::Ganged(decode_ganged_fields(&mut r)?),
             KIND_SUBMIT => {
                 let corr_id = r.u64()?;
                 let body = match r.u8()? {
@@ -1691,40 +1679,60 @@ pub fn write_frame<W: Write>(writer: &mut W, frame: &[u8]) -> std::io::Result<()
 mod tests {
     use super::*;
 
+    fn digitize(corr_id: u64, req: DigitizeRequest) -> Request {
+        Request::Submit(SubmitRequest {
+            corr_id,
+            body: SubmitBody::Digitize(req),
+        })
+    }
+
+    fn ganged(corr_id: u64, req: GangedRequest) -> Request {
+        Request::Submit(SubmitRequest {
+            corr_id,
+            body: SubmitBody::Ganged(req),
+        })
+    }
+
     fn sample_requests() -> Vec<Request> {
         vec![
             Request::Ping { token: 0xDEAD_BEEF },
             Request::Metrics,
             Request::Shutdown,
-            Request::Digitize(DigitizeRequest::tone(7, 10e6, 4096)),
-            Request::Digitize(DigitizeRequest {
-                preset: Preset::Ideal,
-                seed: 42,
-                overrides: ConfigOverrides {
-                    f_cr_hz: Some(55e6),
-                    amplitude_v: Some(0.75),
-                    thermal_noise: Some(false),
+            digitize(1, DigitizeRequest::tone(7, 10e6, 4096)),
+            digitize(
+                2,
+                DigitizeRequest {
+                    preset: Preset::Ideal,
+                    seed: 42,
+                    overrides: ConfigOverrides {
+                        f_cr_hz: Some(55e6),
+                        amplitude_v: Some(0.75),
+                        thermal_noise: Some(false),
+                    },
+                    waveform: WaveformSpec::Ramp {
+                        from_v: -1.0,
+                        to_v: 1.0,
+                    },
+                    n_samples: 1000,
+                    batch_size: 128,
+                    deadline_ms: 2500,
                 },
-                waveform: WaveformSpec::Ramp {
-                    from_v: -1.0,
-                    to_v: 1.0,
+            ),
+            ganged(3, GangedRequest::tone(7, 2, 20e6, 4096)),
+            ganged(
+                4,
+                GangedRequest {
+                    preset: Preset::Ideal,
+                    seed: 99,
+                    channels: MAX_GANGED_CHANNELS,
+                    mismatch: false,
+                    cal: GangedCal::Foreground,
+                    f_target_hz: 31e6,
+                    n_samples: 2048,
+                    batch_size: 512,
+                    deadline_ms: 10_000,
                 },
-                n_samples: 1000,
-                batch_size: 128,
-                deadline_ms: 2500,
-            }),
-            Request::Ganged(GangedRequest::tone(7, 2, 20e6, 4096)),
-            Request::Ganged(GangedRequest {
-                preset: Preset::Ideal,
-                seed: 99,
-                channels: MAX_GANGED_CHANNELS,
-                mismatch: false,
-                cal: GangedCal::Foreground,
-                f_target_hz: 31e6,
-                n_samples: 2048,
-                batch_size: 512,
-                deadline_ms: 10_000,
-            }),
+            ),
             Request::JobBatch(JobBatchRequest {
                 batch_id: 11,
                 campaign: "monte_carlo-0123456789abcdef".to_string(),
@@ -1947,7 +1955,7 @@ mod tests {
 
     #[test]
     fn truncation_at_every_length_is_rejected_not_panicking() {
-        let frame = encode_request(&Request::Digitize(DigitizeRequest::tone(1, 10e6, 512)));
+        let frame = encode_request(&digitize(1, DigitizeRequest::tone(1, 10e6, 512)));
         for len in 0..frame.len() {
             assert!(
                 decode_request(&frame[..len]).is_err(),
@@ -1968,15 +1976,15 @@ mod tests {
 
     #[test]
     fn ganged_channel_counts_outside_bounds_are_malformed() {
-        let good = Request::Ganged(GangedRequest::tone(1, 2, 20e6, 1024));
-        let Request::Ganged(template) = &good else {
-            unreachable!()
-        };
+        let template = GangedRequest::tone(1, 2, 20e6, 1024);
         for channels in [0u8, MAX_GANGED_CHANNELS + 1, 255] {
-            let bad = Request::Ganged(GangedRequest {
-                channels,
-                ..template.clone()
-            });
+            let bad = ganged(
+                1,
+                GangedRequest {
+                    channels,
+                    ..template.clone()
+                },
+            );
             // Encode bypasses decode validation; the decoder must reject.
             let frame = encode_request(&bad);
             assert_eq!(
@@ -1987,19 +1995,22 @@ mod tests {
         }
         // The boundary values decode fine.
         for channels in [1u8, MAX_GANGED_CHANNELS] {
-            let ok = Request::Ganged(GangedRequest {
-                channels,
-                ..template.clone()
-            });
+            let ok = ganged(
+                1,
+                GangedRequest {
+                    channels,
+                    ..template.clone()
+                },
+            );
             assert_eq!(decode_request(&encode_request(&ok)).unwrap(), ok);
         }
     }
 
     #[test]
     fn ganged_flag_and_discriminant_bytes_are_malformed_not_panics() {
-        // Corrupt the mismatch flag (offset: preset 1 + seed 8 + channels 1).
-        let frame_bytes = |req: &Request| encode_request(req);
-        let base = frame_bytes(&Request::Ganged(GangedRequest::tone(1, 2, 20e6, 1024)));
+        // Corrupt the mismatch flag (offset: corr id 8 + body tag 1 +
+        // preset 1 + seed 8 + channels 1).
+        let base = encode_request(&ganged(1, GangedRequest::tone(1, 2, 20e6, 1024)));
         let payload_start = HEADER_LEN;
         let patch = |offset: usize, value: u8| {
             let mut f = base.clone();
@@ -2010,11 +2021,11 @@ mod tests {
             f
         };
         assert_eq!(
-            decode_request(&patch(10, 7)),
+            decode_request(&patch(19, 7)),
             Err(WireError::Malformed("mismatch flag"))
         );
         assert_eq!(
-            decode_request(&patch(11, 9)),
+            decode_request(&patch(20, 9)),
             Err(WireError::Malformed("ganged cal discriminant"))
         );
     }
@@ -2258,7 +2269,7 @@ mod tests {
 
     #[test]
     fn assembler_waits_while_a_frame_is_partial() {
-        let frame = encode_request(&Request::Digitize(DigitizeRequest::tone(1, 10e6, 256)));
+        let frame = encode_request(&digitize(1, DigitizeRequest::tone(1, 10e6, 256)));
         let mut asm = FrameAssembler::new();
         for (i, &byte) in frame.iter().enumerate() {
             asm.extend(&[byte]);
@@ -2269,7 +2280,7 @@ mod tests {
                 let (kind, payload) = got.expect("final byte completes the frame");
                 assert_eq!(
                     Request::decode(kind, &payload).unwrap(),
-                    Request::Digitize(DigitizeRequest::tone(1, 10e6, 256))
+                    digitize(1, DigitizeRequest::tone(1, 10e6, 256))
                 );
             }
         }
@@ -2284,12 +2295,19 @@ mod tests {
     #[test]
     fn f64_fields_are_bit_exact_on_the_wire() {
         for value in [0.0, -0.0, f64::MIN_POSITIVE, 10e6 + 1e-7, f64::INFINITY] {
-            let req = Request::Digitize(DigitizeRequest {
-                waveform: WaveformSpec::Dc { level_v: value },
-                ..DigitizeRequest::tone(0, 0.0, 16)
-            });
+            let req = digitize(
+                1,
+                DigitizeRequest {
+                    waveform: WaveformSpec::Dc { level_v: value },
+                    ..DigitizeRequest::tone(0, 0.0, 16)
+                },
+            );
             let back = decode_request(&encode_request(&req)).unwrap();
-            let Request::Digitize(d) = back else {
+            let Request::Submit(SubmitRequest {
+                body: SubmitBody::Digitize(d),
+                ..
+            }) = back
+            else {
                 panic!("wrong kind");
             };
             let WaveformSpec::Dc { level_v } = d.waveform else {

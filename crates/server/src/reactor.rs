@@ -7,7 +7,9 @@
 //! * The reactor owns the listener and every [`Conn`]: nonblocking
 //!   sockets, an incremental [`FrameAssembler`] per connection, and a
 //!   bounded outbound frame queue ([`ConnOut`]) flushed opportunistically
-//!   whenever the socket is writable.
+//!   whenever the socket is writable. A failed `accept` (descriptor
+//!   exhaustion, an aborted handshake) is counted as an error and
+//!   retried after the next poll round; it never stops the loop.
 //! * Decoded requests either complete inline (`Ping`, `Metrics`, cache
 //!   traffic) or park in a bounded per-connection **admission queue**.
 //!   A full queue sheds the newest request with a typed
@@ -16,9 +18,11 @@
 //!   request per connection per round, resuming after the last admitted
 //!   connection) into pool jobs, bounded by global and per-connection
 //!   in-flight caps. Identical tone requests that are admitted in the
-//!   same round **coalesce** into one lane-parallel
-//!   [`LaneBench`] job that fabricates and converts every seed in a
-//!   single pass and streams each client its own record.
+//!   same round **coalesce** into one job.
+//! * Every job runs [`serve_job`]: it computes one record per member —
+//!   a lane-parallel [`LaneBench`] pass for coalesced tones, the scalar
+//!   session or ganged scenario for a single member — then streams each
+//!   member its own record and settles each member on its own.
 //! * Workers never touch sockets: they push encoded frames into the
 //!   connection's [`ConnOut`] (blocking on the bound, polling their
 //!   deadline) and signal completion through an event list plus a
@@ -26,12 +30,11 @@
 //!
 //! ## Ordering and correlation
 //!
-//! A [`SubmitRequest`] with `corr_id != 0` may complete out of order;
-//! every one of its frames comes back wrapped in
-//! [`Response::Tagged`]. `corr_id == 0` (and the bare
-//! `Digitize`/`Ganged` frames, which are equivalent) is **legacy
-//! ordered mode**: at most one id-0 request is in flight per
-//! connection, so untagged responses never interleave.
+//! Digitization arrives only as a [`Request::Submit`] under a
+//! client-chosen correlation id (any `u64`, `0` included). Submissions
+//! may complete out of order, and every frame of one comes back wrapped
+//! in [`Response::Tagged`] with its id. Control traffic (`Ping`,
+//! `Metrics`, `Shutdown`, cluster frames) is answered untagged.
 //!
 //! ## Determinism
 //!
@@ -48,17 +51,17 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
+use adc_calib::GangedCapture;
 use adc_runtime::{JobCtx, JobError};
 use adc_testbench::LaneBench;
 
 use crate::protocol::{
-    encode_response, error_code_for_build, DigitizeDone, DigitizeRequest, ErrorCode,
-    FrameAssembler, GangedDone, GangedRequest, Request, Response, SubmitBody, WaveformSpec,
-    WireError,
+    encode_response, error_code_for_build, DigitizeDone, ErrorCode, FrameAssembler, GangedDone,
+    Request, Response, SubmitBody, SubmitRequest, WaveformSpec, WireError,
 };
 use crate::server::{
     digitize_config, error_code_for_ganged, run_digitize, run_ganged, run_job_batch, stream_crc,
-    validate, validate_ganged, value_stream_crc, ServerConfig, Shared,
+    validate, value_stream_crc, ServerConfig, Shared,
 };
 
 /// Bytes read from a socket per `read(2)` call.
@@ -168,9 +171,6 @@ pub(crate) enum Event {
     JobDone {
         /// Connection the request belonged to.
         conn: u64,
-        /// `true` for legacy ordered (corr id 0) requests — releases the
-        /// connection's ordered-mode slot.
-        legacy: bool,
         /// `true` when the request held a global in-flight slot (batch
         /// jobs run on their own thread and don't).
         global: bool,
@@ -289,33 +289,30 @@ impl ConnOut {
     }
 }
 
-/// Wraps a response in [`Response::Tagged`] when the request carried a
-/// nonzero correlation id.
-fn wrap(corr: u64, response: Response) -> Vec<u8> {
-    if corr == 0 {
-        encode_response(&response)
-    } else {
-        encode_response(&Response::Tagged {
-            corr_id: corr,
+/// Encodes a response, wrapped in [`Response::Tagged`] when it belongs
+/// to a submission (`Some(corr_id)`); job batches answer untagged.
+fn frame(tag: Option<u64>, response: Response) -> Vec<u8> {
+    match tag {
+        Some(corr_id) => encode_response(&Response::Tagged {
+            corr_id,
             inner: Box::new(response),
-        })
+        }),
+        None => encode_response(&response),
     }
 }
 
 /// A worker's handle for streaming responses to one request: the
-/// connection's queue plus the request's correlation id (applied to
+/// connection's queue plus the request's correlation tag (applied to
 /// every frame).
 #[derive(Clone)]
 pub(crate) struct ConnSink {
     out: Arc<ConnOut>,
-    corr: u64,
+    tag: Option<u64>,
 }
 
 impl std::fmt::Debug for ConnSink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ConnSink")
-            .field("corr", &self.corr)
-            .finish()
+        f.debug_struct("ConnSink").field("tag", &self.tag).finish()
     }
 }
 
@@ -323,27 +320,12 @@ impl ConnSink {
     /// Queues a response, blocking on backpressure until the deadline
     /// fires or the peer leaves.
     fn send(&self, ctx: &JobCtx, response: Response) -> bool {
-        self.out.push_wait(ctx, wrap(self.corr, response))
+        self.out.push_wait(ctx, frame(self.tag, response))
     }
 
     /// Queues a response unconditionally (terminal frames).
     fn send_now(&self, response: Response) -> bool {
-        self.out.push_now(wrap(self.corr, response))
-    }
-}
-
-/// One admitted-but-not-yet-dispatched digitization.
-#[derive(Debug)]
-enum Work {
-    Digitize { corr: u64, req: DigitizeRequest },
-    Ganged { corr: u64, req: GangedRequest },
-}
-
-impl Work {
-    fn corr(&self) -> u64 {
-        match self {
-            Self::Digitize { corr, .. } | Self::Ganged { corr, .. } => *corr,
-        }
+        self.out.push_now(frame(self.tag, response))
     }
 }
 
@@ -363,10 +345,10 @@ struct LaneKey {
     batch_size: u32,
 }
 
-/// `Some` when the work is coalescible: a tone digitize with no
+/// `Some` when the submission is coalescible: a tone digitize with no
 /// deadline (a deadline is per-request; lane members must share fate).
-fn lane_key(work: &Work) -> Option<LaneKey> {
-    let Work::Digitize { req, .. } = work else {
+fn lane_key(body: &SubmitBody) -> Option<LaneKey> {
+    let SubmitBody::Digitize(req) = body else {
         return None;
     };
     if req.deadline_ms != 0 {
@@ -389,8 +371,20 @@ fn lane_key(work: &Work) -> Option<LaneKey> {
 /// One request's membership in a dispatched job.
 struct Member {
     conn: u64,
-    legacy: bool,
     sink: ConnSink,
+    /// Set when this member's request failed (for the error counter);
+    /// lane-mates fail or succeed independently.
+    failed: bool,
+}
+
+impl Member {
+    fn new(conn: u64, sink: ConnSink) -> Self {
+        Self {
+            conn,
+            sink,
+            failed: false,
+        }
+    }
 }
 
 /// Guarantees every dispatched request posts exactly one
@@ -402,7 +396,6 @@ struct JobGuard {
     members: Vec<Member>,
     global: bool,
     settled: bool,
-    failed: bool,
 }
 
 impl JobGuard {
@@ -412,15 +405,13 @@ impl JobGuard {
             members,
             global,
             settled: false,
-            failed: false,
         }
     }
 
-    /// Records the job's outcome; called exactly once on the normal
-    /// path.
-    fn finish(&mut self, failed: bool) {
+    /// Records that the job settled every member itself (each member's
+    /// `failed` flag is final); called exactly once on the normal path.
+    fn finish(&mut self) {
         self.settled = true;
-        self.failed = failed;
     }
 }
 
@@ -429,8 +420,8 @@ impl Drop for JobGuard {
         if !self.settled {
             // The closure unwound or was dropped unrun: tell every
             // member so no client waits forever on a lost request.
-            self.failed = true;
-            for member in &self.members {
+            for member in &mut self.members {
+                member.failed = true;
                 let _ = member.sink.send_now(Response::Error {
                     code: ErrorCode::Internal,
                     detail: "request lost: the serving job unwound".to_string(),
@@ -442,9 +433,8 @@ impl Drop for JobGuard {
             for member in &self.members {
                 events.push(Event::JobDone {
                     conn: member.conn,
-                    legacy: member.legacy,
                     global: self.global,
-                    failed: self.failed,
+                    failed: member.failed,
                 });
             }
             if self.global {
@@ -464,11 +454,9 @@ struct Conn {
     wbuf: Vec<u8>,
     wpos: usize,
     /// Admitted requests waiting for an in-flight slot.
-    pending: VecDeque<Work>,
+    pending: VecDeque<SubmitRequest>,
     /// Requests currently running on the pool (or a batch thread).
     inflight: u32,
-    /// `true` while a legacy ordered (corr id 0) request is in flight.
-    legacy_busy: bool,
     read_closed: bool,
     dead: bool,
 }
@@ -498,6 +486,10 @@ struct Reactor {
     pool_cap: usize,
     /// Fairness cursor: dispatch resumes after this connection id.
     cursor: u64,
+    /// Set by a failed `accept`: the listener sits out the next poll
+    /// round, so a backlog that cannot be accepted (no descriptors
+    /// left) is retried once per tick instead of spinning the loop.
+    accept_backoff: bool,
     batch_threads: Vec<std::thread::JoinHandle<()>>,
     scratch: Vec<u8>,
 }
@@ -518,6 +510,7 @@ pub(crate) fn run(listener: TcpListener, waker_rx: WakerRx, shared: Arc<Shared>)
         pool_jobs: 0,
         pool_cap,
         cursor: 0,
+        accept_backoff: false,
         batch_threads: Vec::new(),
         scratch: vec![0u8; READ_CHUNK],
     };
@@ -536,7 +529,7 @@ impl Reactor {
         loop {
             self.wait()?;
             self.process_events();
-            self.accept()?;
+            self.accept();
             self.read_phase();
             self.dispatch();
             self.write_phase();
@@ -565,7 +558,8 @@ impl Reactor {
                 events: sys::POLLIN,
                 revents: 0,
             });
-            if !draining {
+            // After a failed accept the listener sits this round out.
+            if !draining && !std::mem::take(&mut self.accept_backoff) {
                 fds.push(sys::PollFd {
                     fd: self.listener.as_raw_fd(),
                     events: sys::POLLIN,
@@ -629,7 +623,6 @@ impl Reactor {
             match event {
                 Event::JobDone {
                     conn,
-                    legacy,
                     global,
                     failed,
                 } => {
@@ -641,9 +634,6 @@ impl Reactor {
                     }
                     if let Some(c) = self.conns.get_mut(&conn) {
                         c.inflight = c.inflight.saturating_sub(1);
-                        if legacy {
-                            c.legacy_busy = false;
-                        }
                     }
                 }
                 Event::PoolSlotFreed => {
@@ -653,9 +643,13 @@ impl Reactor {
         }
     }
 
-    fn accept(&mut self) -> io::Result<()> {
+    /// Accepts every pending connection. A failed attempt (`EMFILE` /
+    /// `ENFILE` when descriptors run out, `ECONNABORTED`, ...) is a
+    /// per-attempt error: it is counted, accepting stops for this
+    /// iteration, and the backlog is retried after the next poll round.
+    fn accept(&mut self) {
         if self.shared.draining.load(Ordering::SeqCst) {
-            return Ok(());
+            return;
         }
         loop {
             match self.listener.accept() {
@@ -681,15 +675,18 @@ impl Reactor {
                             wpos: 0,
                             pending: VecDeque::new(),
                             inflight: 0,
-                            legacy_busy: false,
                             read_closed: false,
                             dead: false,
                         },
                     );
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
+                Err(_) => {
+                    self.shared.metrics.error();
+                    self.accept_backoff = true;
+                    return;
+                }
             }
         }
     }
@@ -728,13 +725,10 @@ impl Reactor {
                                     // reading (resync is impossible on a
                                     // corrupt length-prefixed stream).
                                     self.shared.metrics.error();
-                                    let _ = conn.out.push_now(wrap(
-                                        0,
-                                        Response::Error {
-                                            code: ErrorCode::Protocol,
-                                            detail: w.to_string(),
-                                        },
-                                    ));
+                                    let _ = conn.out.push_now(encode_response(&Response::Error {
+                                        code: ErrorCode::Protocol,
+                                        detail: w.to_string(),
+                                    }));
                                     conn.read_closed = true;
                                     break;
                                 }
@@ -766,119 +760,66 @@ impl Reactor {
         match request {
             Request::Ping { token } => {
                 shared.metrics.ping();
-                let _ = conn.out.push_now(wrap(0, Response::Pong { token }));
+                let _ = conn
+                    .out
+                    .push_now(encode_response(&Response::Pong { token }));
             }
             Request::Metrics => {
                 shared.metrics.metrics_request();
                 let snapshot = shared.metrics.snapshot();
-                let _ = conn.out.push_now(wrap(0, Response::Metrics(snapshot)));
+                let _ = conn
+                    .out
+                    .push_now(encode_response(&Response::Metrics(snapshot)));
             }
             Request::Shutdown => {
                 // Begin the drain *before* acking: once the client has
                 // the ack in hand, `is_draining()` must already be true.
                 shared.draining.store(true, Ordering::SeqCst);
-                let _ = conn.out.push_now(wrap(0, Response::ShutdownAck));
+                let _ = conn.out.push_now(encode_response(&Response::ShutdownAck));
                 conn.read_closed = true;
-            }
-            Request::Digitize(req) => {
-                shared.metrics.digitize();
-                if let Err(detail) = validate(&req, &shared.cfg) {
-                    shared.metrics.error();
-                    let _ = conn.out.push_now(wrap(
-                        0,
-                        Response::Error {
-                            code: ErrorCode::InvalidRequest,
-                            detail,
-                        },
-                    ));
-                    return;
-                }
-                enqueue(conn, &shared, Work::Digitize { corr: 0, req });
-            }
-            Request::Ganged(req) => {
-                shared.metrics.digitize();
-                if let Err(detail) = validate_ganged(&req, &shared.cfg) {
-                    shared.metrics.error();
-                    let _ = conn.out.push_now(wrap(
-                        0,
-                        Response::Error {
-                            code: ErrorCode::InvalidRequest,
-                            detail,
-                        },
-                    ));
-                    return;
-                }
-                enqueue(conn, &shared, Work::Ganged { corr: 0, req });
             }
             Request::Submit(sub) => {
                 shared.metrics.digitize();
-                let corr = sub.corr_id;
-                let work = match sub.body {
-                    SubmitBody::Digitize(req) => {
-                        if let Err(detail) = validate(&req, &shared.cfg) {
-                            shared.metrics.error();
-                            let _ = conn.out.push_now(wrap(
-                                corr,
-                                Response::Error {
-                                    code: ErrorCode::InvalidRequest,
-                                    detail,
-                                },
-                            ));
-                            return;
-                        }
-                        Work::Digitize { corr, req }
-                    }
-                    SubmitBody::Ganged(req) => {
-                        if let Err(detail) = validate_ganged(&req, &shared.cfg) {
-                            shared.metrics.error();
-                            let _ = conn.out.push_now(wrap(
-                                corr,
-                                Response::Error {
-                                    code: ErrorCode::InvalidRequest,
-                                    detail,
-                                },
-                            ));
-                            return;
-                        }
-                        Work::Ganged { corr, req }
-                    }
-                };
-                enqueue(conn, &shared, work);
+                if let Err(detail) = validate(&sub.body, &shared.cfg) {
+                    shared.metrics.error();
+                    let _ = conn.out.push_now(frame(
+                        Some(sub.corr_id),
+                        Response::Error {
+                            code: ErrorCode::InvalidRequest,
+                            detail,
+                        },
+                    ));
+                    return;
+                }
+                enqueue(conn, &shared, sub);
             }
             Request::JobBatch(req) => {
                 shared.metrics.job_batch();
                 let Some(runner) = shared.cfg.job_runner.clone() else {
                     shared.metrics.error();
-                    let _ = conn.out.push_now(wrap(
-                        0,
-                        Response::Error {
-                            code: ErrorCode::Unsupported,
-                            detail: "this host has no job runner registered".to_string(),
-                        },
-                    ));
+                    let _ = conn.out.push_now(encode_response(&Response::Error {
+                        code: ErrorCode::Unsupported,
+                        detail: "this host has no job runner registered".to_string(),
+                    }));
                     return;
                 };
                 conn.inflight += 1;
                 let sink = ConnSink {
                     out: Arc::clone(&conn.out),
-                    corr: 0,
+                    tag: None,
                 };
                 let mut guard = JobGuard::new(
                     Arc::clone(&shared),
                     false,
-                    vec![Member {
-                        conn: id,
-                        legacy: false,
-                        sink: sink.clone(),
-                    }],
+                    vec![Member::new(id, sink.clone())],
                 );
                 // Batch jobs orchestrate their own pool fan-out and
                 // block on cache I/O, so they get a plain thread instead
                 // of occupying a pool worker.
                 self.batch_threads.push(std::thread::spawn(move || {
                     let result = run_job_batch(&req, &runner, &shared);
-                    let delivered = sink.send_now(Response::JobResult(result));
-                    guard.finish(!delivered);
+                    guard.members[0].failed = !sink.send_now(Response::JobResult(result));
+                    guard.finish();
                 }));
             }
             Request::CacheQuery(q) => {
@@ -888,7 +829,9 @@ impl Reactor {
                     .iter()
                     .filter_map(|&key| cache.get_line(key).map(|line| (key, line)))
                     .collect();
-                let _ = conn.out.push_now(wrap(0, Response::CacheHits { entries }));
+                let _ = conn
+                    .out
+                    .push_now(encode_response(&Response::CacheHits { entries }));
             }
             Request::CacheFill(c) => {
                 let cache = shared.caches.for_campaign(&c.campaign);
@@ -902,7 +845,7 @@ impl Reactor {
                 let _ = cache.persist(&c.campaign);
                 let _ = conn
                     .out
-                    .push_now(wrap(0, Response::CacheFillAck { accepted }));
+                    .push_now(encode_response(&Response::CacheFillAck { accepted }));
             }
         }
     }
@@ -939,7 +882,7 @@ impl Reactor {
             .copied()
             .collect();
 
-        let mut admitted: Vec<(u64, Work)> = Vec::new();
+        let mut admitted: Vec<(u64, SubmitRequest)> = Vec::new();
         'admit: loop {
             let mut progressed = false;
             for &id in &order {
@@ -952,23 +895,13 @@ impl Reactor {
                 if conn.dead || conn.inflight as usize >= per_conn {
                     continue;
                 }
-                // Legacy ordered mode serializes corr-id-0 requests per
-                // connection without blocking later pipelined ones.
-                let pos = conn
-                    .pending
-                    .iter()
-                    .position(|w| w.corr() != 0 || !conn.legacy_busy);
-                let Some(pos) = pos else { continue };
-                let Some(work) = conn.pending.remove(pos) else {
+                let Some(sub) = conn.pending.pop_front() else {
                     continue;
                 };
-                if work.corr() == 0 {
-                    conn.legacy_busy = true;
-                }
                 conn.inflight += 1;
                 self.inflight += 1;
                 self.cursor = id;
-                admitted.push((id, work));
+                admitted.push((id, sub));
                 progressed = true;
             }
             if !progressed {
@@ -978,111 +911,60 @@ impl Reactor {
 
         // Partition the admitted round into coalescible tone groups and
         // singles, preserving admission order within each.
-        let mut groups: BTreeMap<LaneKey, Vec<(u64, Work)>> = BTreeMap::new();
-        let mut singles: Vec<(u64, Work)> = Vec::new();
-        for (id, work) in admitted {
-            match lane_key(&work) {
-                Some(key) => groups.entry(key).or_default().push((id, work)),
-                None => singles.push((id, work)),
+        let mut groups: BTreeMap<LaneKey, Vec<(u64, SubmitRequest)>> = BTreeMap::new();
+        let mut singles: Vec<(u64, SubmitRequest)> = Vec::new();
+        for (id, sub) in admitted {
+            match lane_key(&sub.body) {
+                Some(key) => groups.entry(key).or_default().push((id, sub)),
+                None => singles.push((id, sub)),
             }
         }
-        for (id, work) in singles {
-            self.submit_single(id, work);
+        for single in singles {
+            self.submit(vec![single]);
         }
         for (_, mut members) in groups {
             while !members.is_empty() {
                 let take = members.len().min(max_lanes);
-                let chunk: Vec<(u64, Work)> = members.drain(..take).collect();
-                if chunk.len() == 1 {
-                    let (id, work) = chunk.into_iter().next().expect("chunk of one");
-                    self.submit_single(id, work);
-                } else {
-                    self.submit_lanes(chunk);
-                }
+                self.submit(members.drain(..take).collect());
             }
         }
     }
 
-    /// Dispatches one request as its own pool job.
-    fn submit_single(&mut self, id: u64, work: Work) {
-        let Some(conn) = self.conns.get(&id) else {
-            // The connection vanished between admission and dispatch;
-            // settle the slot immediately.
-            self.inflight = self.inflight.saturating_sub(1);
-            return;
-        };
-        let corr = work.corr();
-        let sink = ConnSink {
-            out: Arc::clone(&conn.out),
-            corr,
-        };
-        let cfg = self.shared.cfg.clone();
-        let mut guard = JobGuard::new(
-            Arc::clone(&self.shared),
-            true,
-            vec![Member {
-                conn: id,
-                legacy: corr == 0,
-                sink: sink.clone(),
-            }],
-        );
-        self.pool_jobs += 1;
-        match work {
-            Work::Digitize { req, .. } => {
-                let deadline = (req.deadline_ms > 0)
-                    .then(|| Duration::from_millis(u64::from(req.deadline_ms)));
-                let _handle = self.shared.pool.submit(deadline, move |ctx| {
-                    let result = digitize_job(&req, &cfg, ctx, &sink);
-                    guard.finish(result.is_err());
-                    result
-                });
-            }
-            Work::Ganged { req, .. } => {
-                let deadline = (req.deadline_ms > 0)
-                    .then(|| Duration::from_millis(u64::from(req.deadline_ms)));
-                let _handle = self.shared.pool.submit(deadline, move |ctx| {
-                    let result = ganged_job(&req, &cfg, ctx, &sink);
-                    guard.finish(result.is_err());
-                    result
-                });
-            }
-        }
-    }
-
-    /// Dispatches a group of identical tone requests as one
-    /// lane-parallel job.
-    fn submit_lanes(&mut self, chunk: Vec<(u64, Work)>) {
-        let mut guard_members = Vec::with_capacity(chunk.len());
-        let mut lane_inputs: Vec<(ConnSink, DigitizeRequest)> = Vec::with_capacity(chunk.len());
-        for (id, work) in chunk {
-            let Work::Digitize { corr, req } = work else {
-                continue;
-            };
+    /// Dispatches admitted submissions as one pool job — a lone request,
+    /// or a group of identical tones that coalesce into lanes.
+    fn submit(&mut self, batch: Vec<(u64, SubmitRequest)>) {
+        let mut members = Vec::with_capacity(batch.len());
+        let mut bodies = Vec::with_capacity(batch.len());
+        for (id, sub) in batch {
             let Some(conn) = self.conns.get(&id) else {
+                // The connection vanished between admission and
+                // dispatch; settle the slot immediately.
                 self.inflight = self.inflight.saturating_sub(1);
                 continue;
             };
             let sink = ConnSink {
                 out: Arc::clone(&conn.out),
-                corr,
+                tag: Some(sub.corr_id),
             };
-            guard_members.push(Member {
-                conn: id,
-                legacy: corr == 0,
-                sink: sink.clone(),
-            });
-            lane_inputs.push((sink, req));
+            members.push(Member::new(id, sink));
+            bodies.push(sub.body);
         }
-        if lane_inputs.is_empty() {
+        let Some(first) = bodies.first() else {
             return;
+        };
+        if bodies.len() > 1 {
+            self.shared.metrics.coalesced(bodies.len() as u64);
         }
-        self.shared.metrics.coalesced(lane_inputs.len() as u64);
+        // Coalesced members carry no deadline (see `lane_key`), so the
+        // first member's deadline is the job's.
+        let deadline_ms = knobs(first).deadline_ms;
+        let deadline = (deadline_ms > 0).then(|| Duration::from_millis(u64::from(deadline_ms)));
         let cfg = self.shared.cfg.clone();
-        let mut guard = JobGuard::new(Arc::clone(&self.shared), true, guard_members);
+        let mut guard = JobGuard::new(Arc::clone(&self.shared), true, members);
         self.pool_jobs += 1;
-        let _handle = self.shared.pool.submit(None, move |ctx| {
-            let result = lane_job(&cfg, ctx, &lane_inputs);
-            guard.finish(result.is_err());
+        let _handle = self.shared.pool.submit(deadline, move |ctx| {
+            let result = serve_job(&cfg, ctx, &bodies, &mut guard.members);
+            guard.finish();
             result
         });
     }
@@ -1133,13 +1015,13 @@ impl Reactor {
 /// Parks a request in the connection's admission queue, shedding the
 /// newest request with a typed [`ErrorCode::Overloaded`] frame when the
 /// queue is full.
-fn enqueue(conn: &mut Conn, shared: &Arc<Shared>, work: Work) {
+fn enqueue(conn: &mut Conn, shared: &Arc<Shared>, sub: SubmitRequest) {
     let cap = shared.cfg.max_pending_per_conn.max(1);
     if conn.pending.len() >= cap {
         shared.metrics.overloaded();
         shared.metrics.error();
-        let _ = conn.out.push_now(wrap(
-            work.corr(),
+        let _ = conn.out.push_now(frame(
+            Some(sub.corr_id),
             Response::Error {
                 code: ErrorCode::Overloaded,
                 detail: format!(
@@ -1150,7 +1032,7 @@ fn enqueue(conn: &mut Conn, shared: &Arc<Shared>, work: Work) {
         ));
         return;
     }
-    conn.pending.push_back(work);
+    conn.pending.push_back(sub);
 }
 
 /// Feeds raw socket bytes through the connection's assembler and
@@ -1203,293 +1085,235 @@ fn flush_conn(conn: &mut Conn) {
     }
 }
 
-/// Streams one digitize request's response frames into its sink. Runs
-/// on a pool worker.
-fn digitize_job(
-    req: &DigitizeRequest,
-    cfg: &ServerConfig,
-    ctx: &JobCtx,
-    sink: &ConnSink,
-) -> Result<u64, JobError> {
-    let fail = |code: ErrorCode, detail: String| {
-        let _ = sink.send_now(Response::Error {
-            code,
-            detail: detail.clone(),
-        });
-        Err(JobError::Failed(detail))
-    };
-    // Scope span ids to the request's fabrication seed — two server
-    // runs serving the same request produce the same span identities.
-    let _trace_task = adc_trace::task(req.seed);
-    let _trace_request = adc_trace::span_with("request", ctx.id.0);
-    if ctx.timed_out() {
-        let _ = sink.send_now(Response::Error {
-            code: ErrorCode::TimedOut,
-            detail: "deadline expired before simulation started".to_string(),
-        });
-        return Err(JobError::TimedOut);
-    }
-    let digitize_result = {
-        let _trace_digitize = adc_trace::span("digitize");
-        run_digitize(req)
-    };
-    let (codes, f_in_hz) = match digitize_result {
-        Ok(result) => result,
-        Err(build) => return fail(error_code_for_build(&build), build.to_string()),
-    };
-    if ctx.timed_out() {
-        let _ = sink.send_now(Response::Error {
-            code: ErrorCode::TimedOut,
-            detail: "deadline expired during conversion".to_string(),
-        });
-        return Err(JobError::TimedOut);
-    }
-    let batch = if req.batch_size == 0 {
-        cfg.default_batch.max(1) as usize
-    } else {
-        req.batch_size as usize
-    };
-    let _trace_stream = adc_trace::span("stream");
-    let mut batches = 0u32;
-    for (seq, chunk) in codes.chunks(batch).enumerate() {
-        let sent = sink.send(
-            ctx,
-            Response::Batch {
-                seq: seq as u32,
-                samples: chunk.to_vec(),
-            },
-        );
-        if !sent {
-            let timed_out = ctx.timed_out();
-            let _ = sink.send_now(Response::Error {
-                code: ErrorCode::TimedOut,
-                detail: format!("deadline expired after {batches} batches"),
-            });
-            return if timed_out {
-                Err(JobError::TimedOut)
-            } else {
-                Err(JobError::Failed("client went away mid-stream".to_string()))
-            };
-        }
-        batches += 1;
-        ctx.record_samples(chunk.len() as u64);
-    }
-    let done = Response::Done(DigitizeDone {
-        total_samples: codes.len() as u32,
-        batches,
-        f_in_hz,
-        stream_crc32: stream_crc(&codes),
-    });
-    if !sink.send(ctx, done) {
-        return Err(JobError::Failed("client went away at done".to_string()));
-    }
-    ctx.record_requests(1);
-    Ok(codes.len() as u64)
+/// The per-request fields the serving job needs from either body kind.
+struct Knobs {
+    seed: u64,
+    batch_size: u32,
+    deadline_ms: u32,
 }
 
-/// Streams one ganged request's response frames into its sink —
-/// structurally the twin of [`digitize_job`] with the array scenario in
-/// place of the single-die session.
-fn ganged_job(
-    req: &GangedRequest,
-    cfg: &ServerConfig,
-    ctx: &JobCtx,
-    sink: &ConnSink,
-) -> Result<u64, JobError> {
-    let fail = |code: ErrorCode, detail: String| {
-        let _ = sink.send_now(Response::Error {
-            code,
-            detail: detail.clone(),
-        });
-        Err(JobError::Failed(detail))
-    };
-    let _trace_task = adc_trace::task(req.seed);
-    let _trace_request = adc_trace::span_with("request", ctx.id.0);
-    if ctx.timed_out() {
-        let _ = sink.send_now(Response::Error {
-            code: ErrorCode::TimedOut,
-            detail: "deadline expired before simulation started".to_string(),
-        });
-        return Err(JobError::TimedOut);
+fn knobs(body: &SubmitBody) -> Knobs {
+    match body {
+        SubmitBody::Digitize(r) => Knobs {
+            seed: r.seed,
+            batch_size: r.batch_size,
+            deadline_ms: r.deadline_ms,
+        },
+        SubmitBody::Ganged(r) => Knobs {
+            seed: r.seed,
+            batch_size: r.batch_size,
+            deadline_ms: r.deadline_ms,
+        },
     }
-    let capture = {
-        let _trace_ganged = adc_trace::span("ganged");
-        run_ganged(req)
-    };
-    let capture = match capture {
-        Ok(capture) => capture,
-        Err(err) => return fail(error_code_for_ganged(&err), err.to_string()),
-    };
-    if ctx.timed_out() {
-        let _ = sink.send_now(Response::Error {
-            code: ErrorCode::TimedOut,
-            detail: "deadline expired during conversion".to_string(),
-        });
-        return Err(JobError::TimedOut);
-    }
-    let batch = if req.batch_size == 0 {
-        cfg.default_batch.max(1) as usize
-    } else {
-        req.batch_size as usize
-    };
-    let _trace_stream = adc_trace::span("stream");
-    let mut batches = 0u32;
-    for (seq, chunk) in capture.values.chunks(batch).enumerate() {
-        let sent = sink.send(
-            ctx,
-            Response::GangedBatch {
-                seq: seq as u32,
-                values: chunk.to_vec(),
-            },
-        );
-        if !sent {
-            let timed_out = ctx.timed_out();
-            let _ = sink.send_now(Response::Error {
-                code: ErrorCode::TimedOut,
-                detail: format!("deadline expired after {batches} batches"),
-            });
-            return if timed_out {
-                Err(JobError::TimedOut)
-            } else {
-                Err(JobError::Failed("client went away mid-stream".to_string()))
-            };
-        }
-        batches += 1;
-        ctx.record_samples(chunk.len() as u64);
-    }
-    let done = Response::GangedDone(GangedDone {
-        total_samples: capture.values.len() as u32,
-        batches,
-        f_in_hz: capture.f_in_hz,
-        epochs_run: capture.epochs_run,
-        converged: capture.converged,
-        stream_crc32: value_stream_crc(&capture.values),
-    });
-    if !sink.send(ctx, done) {
-        return Err(JobError::Failed("client went away at done".to_string()));
-    }
-    ctx.record_requests(1);
-    Ok(capture.values.len() as u64)
 }
 
-/// Runs a coalesced group of identical tone requests as lanes of one
-/// [`LaneBench`] pass and streams each client its own record. Per-lane
-/// output is bit-identical to the scalar [`run_digitize`] path at the
-/// same seed (the lane-equivalence property `adc-testbench` tests), so
-/// coalescing is invisible to clients.
-fn lane_job(
+/// One member's computed record — the only place single-die codes and
+/// ganged values differ as far as streaming is concerned.
+enum Record {
+    Codes { codes: Vec<u16>, f_in_hz: f64 },
+    Values(GangedCapture),
+}
+
+impl Record {
+    fn len(&self) -> usize {
+        match self {
+            Self::Codes { codes, .. } => codes.len(),
+            Self::Values(capture) => capture.values.len(),
+        }
+    }
+
+    /// Batch `seq`, covering elements `range`.
+    fn batch(&self, seq: u32, range: std::ops::Range<usize>) -> Response {
+        match self {
+            Self::Codes { codes, .. } => Response::Batch {
+                seq,
+                samples: codes[range].to_vec(),
+            },
+            Self::Values(capture) => Response::GangedBatch {
+                seq,
+                values: capture.values[range].to_vec(),
+            },
+        }
+    }
+
+    /// The end-of-stream summary after `batches` batches, with the
+    /// stream CRC the client checks its reassembly against.
+    fn done(&self, batches: u32) -> Response {
+        let total_samples = self.len() as u32;
+        match self {
+            Self::Codes { codes, f_in_hz } => Response::Done(DigitizeDone {
+                total_samples,
+                batches,
+                f_in_hz: *f_in_hz,
+                stream_crc32: stream_crc(codes),
+            }),
+            Self::Values(capture) => Response::GangedDone(GangedDone {
+                total_samples,
+                batches,
+                f_in_hz: capture.f_in_hz,
+                epochs_run: capture.epochs_run,
+                converged: capture.converged,
+                stream_crc32: value_stream_crc(&capture.values),
+            }),
+        }
+    }
+}
+
+/// Computes one record per body. More than one body means identical
+/// tones (the dispatcher only groups equal [`LaneKey`]s): they run as
+/// lanes of one [`LaneBench`] pass, bit-identical per lane to the
+/// scalar path. A single body runs the scalar session or the ganged
+/// scenario — a one-lane SoA pass is slower than scalar.
+fn compute(bodies: &[SubmitBody]) -> Result<Vec<Record>, (ErrorCode, String)> {
+    match bodies {
+        [SubmitBody::Digitize(req)] => {
+            let _trace_digitize = adc_trace::span("digitize");
+            let (codes, f_in_hz) =
+                run_digitize(req).map_err(|e| (error_code_for_build(&e), e.to_string()))?;
+            Ok(vec![Record::Codes { codes, f_in_hz }])
+        }
+        [SubmitBody::Ganged(req)] => {
+            let _trace_ganged = adc_trace::span("ganged");
+            let capture =
+                run_ganged(req).map_err(|e| (error_code_for_ganged(&e), e.to_string()))?;
+            Ok(vec![Record::Values(capture)])
+        }
+        [lead @ SubmitBody::Digitize(first), ..] => {
+            // Only equal lane keys coalesce: every body is a tone
+            // digitize that differs from the first in its seed alone.
+            let key = lane_key(lead);
+            let Some(key) = key.filter(|_| bodies.iter().all(|body| lane_key(body) == key)) else {
+                return Err(coalesce_mismatch());
+            };
+            let seeds: Vec<u64> = bodies.iter().map(|body| knobs(body).seed).collect();
+            let mut bench = LaneBench::new(digitize_config(first), &seeds)
+                .map_err(|e| (error_code_for_build(&e), e.to_string()))?;
+            bench.record_len = first.n_samples as usize;
+            if let Some(a) = first.overrides.amplitude_v {
+                bench.amplitude_v = a;
+            }
+            let mut outs: Vec<Vec<u16>> = vec![Vec::new(); bodies.len()];
+            let f_in_hz = {
+                let _trace_lanes = adc_trace::span("digitize_lanes");
+                bench.capture_tone_into(f64::from_bits(key.f_target), &mut outs)
+            };
+            Ok(outs
+                .into_iter()
+                .map(|codes| Record::Codes { codes, f_in_hz })
+                .collect())
+        }
+        _ => Err(coalesce_mismatch()),
+    }
+}
+
+/// The error every member of a job that breaks the coalescing rule
+/// gets (the dispatcher never builds one).
+fn coalesce_mismatch() -> (ErrorCode, String) {
+    (
+        ErrorCode::Internal,
+        "a coalesced job must hold only identical tone digitizations".to_string(),
+    )
+}
+
+/// The one serving job: computes a record for every member (one body
+/// per member, in the same order), streams each member its own record,
+/// and marks each member that was not fully served as failed. Runs on a
+/// pool worker; returns the samples streamed to served members.
+fn serve_job(
     cfg: &ServerConfig,
     ctx: &JobCtx,
-    lanes: &[(ConnSink, DigitizeRequest)],
+    bodies: &[SubmitBody],
+    members: &mut [Member],
 ) -> Result<u64, JobError> {
-    let Some((_, first)) = lanes.first() else {
-        return Err(JobError::Failed("empty coalesced batch".to_string()));
+    // Scope span ids to the first member's fabrication seed — two
+    // server runs serving the same request produce the same span
+    // identities.
+    let _trace_task = adc_trace::task(bodies.first().map_or(0, |body| knobs(body).seed));
+    let _trace_request = if members.len() > 1 {
+        adc_trace::span_with("coalesced", members.len() as u64)
+    } else {
+        adc_trace::span_with("request", ctx.id.0)
     };
-    let WaveformSpec::Tone { f_target_hz } = first.waveform else {
-        return Err(JobError::Failed(
-            "coalesced batch must be tone requests".to_string(),
-        ));
+    let timed_out = |when: &str| (ErrorCode::TimedOut, format!("deadline expired {when}"));
+    let records = if ctx.timed_out() {
+        Err(timed_out("before simulation started"))
+    } else {
+        compute(bodies).and_then(|records| {
+            if ctx.timed_out() {
+                Err(timed_out("during conversion"))
+            } else {
+                Ok(records)
+            }
+        })
     };
-    let _trace_task = adc_trace::task(first.seed);
-    let _trace_request = adc_trace::span_with("coalesced", lanes.len() as u64);
-    let fail_all = |code: ErrorCode, detail: &str| {
-        for (sink, _) in lanes {
-            let _ = sink.send_now(Response::Error {
-                code,
-                detail: detail.to_string(),
+    let records = match records {
+        Ok(records) => records,
+        Err((code, detail)) => {
+            for member in members.iter_mut() {
+                member.failed = true;
+                let _ = member.sink.send_now(Response::Error {
+                    code,
+                    detail: detail.clone(),
+                });
+            }
+            return Err(match code {
+                ErrorCode::TimedOut => JobError::TimedOut,
+                _ => JobError::Failed(detail),
             });
         }
-    };
-    if ctx.timed_out() || ctx.cancelled() {
-        fail_all(
-            ErrorCode::TimedOut,
-            "deadline expired before simulation started",
-        );
-        return Err(JobError::TimedOut);
-    }
-    let seeds: Vec<u64> = lanes.iter().map(|(_, req)| req.seed).collect();
-    let config = digitize_config(first);
-    let mut bench = match LaneBench::new(config, &seeds) {
-        Ok(bench) => bench,
-        Err(build) => {
-            let detail = build.to_string();
-            fail_all(error_code_for_build(&build), &detail);
-            return Err(JobError::Failed(detail));
-        }
-    };
-    bench.record_len = first.n_samples as usize;
-    if let Some(a) = first.overrides.amplitude_v {
-        bench.amplitude_v = a;
-    }
-    let mut outs: Vec<Vec<u16>> = vec![Vec::new(); lanes.len()];
-    let f_in_hz = {
-        let _trace_lanes = adc_trace::span("digitize_lanes");
-        bench.capture_tone_into(f_target_hz, &mut outs)
-    };
-    let batch = if first.batch_size == 0 {
-        cfg.default_batch.max(1) as usize
-    } else {
-        first.batch_size as usize
     };
     let _trace_stream = adc_trace::span("stream");
     let mut served = 0u64;
     let mut streamed = 0u64;
-    for ((sink, _), codes) in lanes.iter().zip(&outs) {
-        let mut delivered = true;
+    // Each member gets its own record in its own batch size. A member
+    // whose deadline fires or whose client leaves fails alone.
+    'members: for ((member, body), record) in members.iter_mut().zip(bodies).zip(&records) {
+        let batch = match knobs(body).batch_size {
+            0 => cfg.default_batch.max(1) as usize,
+            n => n as usize,
+        };
+        let len = record.len();
         let mut batches = 0u32;
-        for (seq, chunk) in codes.chunks(batch).enumerate() {
-            let sent = sink.send(
-                ctx,
-                Response::Batch {
-                    seq: seq as u32,
-                    samples: chunk.to_vec(),
-                },
-            );
-            if !sent {
-                let _ = sink.send_now(Response::Error {
+        for start in (0..len).step_by(batch) {
+            let end = (start + batch).min(len);
+            if !member.sink.send(ctx, record.batch(batches, start..end)) {
+                let _ = member.sink.send_now(Response::Error {
                     code: ErrorCode::TimedOut,
                     detail: format!("deadline expired after {batches} batches"),
                 });
-                delivered = false;
-                break;
+                member.failed = true;
+                continue 'members;
             }
             batches += 1;
-            ctx.record_samples(chunk.len() as u64);
+            ctx.record_samples((end - start) as u64);
         }
-        if !delivered {
-            continue;
-        }
-        let done = Response::Done(DigitizeDone {
-            total_samples: codes.len() as u32,
-            batches,
-            f_in_hz,
-            stream_crc32: stream_crc(codes),
-        });
-        if sink.send(ctx, done) {
+        if member.sink.send(ctx, record.done(batches)) {
             served += 1;
-            streamed += codes.len() as u64;
+            streamed += len as u64;
+        } else {
+            member.failed = true;
         }
     }
     ctx.record_requests(served);
-    if served == 0 {
-        return Err(JobError::Failed(
-            "every coalesced client went away mid-stream".to_string(),
-        ));
+    match served {
+        0 if ctx.timed_out() => Err(JobError::TimedOut),
+        0 => Err(JobError::Failed(
+            "every client went away mid-stream".to_string(),
+        )),
+        _ => Ok(streamed),
     }
-    Ok(streamed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{encode_request, ConfigOverrides, Preset};
+    use crate::protocol::{
+        decode_response, encode_request, ConfigOverrides, DigitizeRequest, GangedRequest, Preset,
+    };
     use adc_runtime::{JobCtx, JobId};
 
-    fn tone(seed: u64) -> Work {
-        Work::Digitize {
-            corr: 1,
-            req: DigitizeRequest::tone(seed, 10e6, 2048),
-        }
+    fn tone(seed: u64) -> SubmitBody {
+        SubmitBody::Digitize(DigitizeRequest::tone(seed, 10e6, 2048))
     }
 
     #[test]
@@ -1500,11 +1324,7 @@ mod tests {
 
         let mut other = DigitizeRequest::tone(3, 10e6, 2048);
         other.preset = Preset::Ideal;
-        let c = lane_key(&Work::Digitize {
-            corr: 1,
-            req: other,
-        })
-        .unwrap();
+        let c = lane_key(&SubmitBody::Digitize(other)).unwrap();
         assert_ne!(a, c, "preset splits the group");
 
         let mut amp = DigitizeRequest::tone(4, 10e6, 2048);
@@ -1512,17 +1332,13 @@ mod tests {
             amplitude_v: Some(0.5),
             ..ConfigOverrides::default()
         };
-        let d = lane_key(&Work::Digitize { corr: 1, req: amp }).unwrap();
+        let d = lane_key(&SubmitBody::Digitize(amp)).unwrap();
         assert_ne!(a, d, "amplitude override splits the group");
 
         let mut deadlined = DigitizeRequest::tone(5, 10e6, 2048);
         deadlined.deadline_ms = 100;
         assert!(
-            lane_key(&Work::Digitize {
-                corr: 1,
-                req: deadlined
-            })
-            .is_none(),
+            lane_key(&SubmitBody::Digitize(deadlined)).is_none(),
             "deadlines opt out of coalescing"
         );
 
@@ -1531,15 +1347,91 @@ mod tests {
             ..DigitizeRequest::tone(6, 10e6, 2048)
         };
         assert!(
-            lane_key(&Work::Digitize { corr: 1, req: dc }).is_none(),
+            lane_key(&SubmitBody::Digitize(dc)).is_none(),
             "only tones coalesce"
         );
 
-        let ganged = Work::Ganged {
-            corr: 1,
-            req: GangedRequest::tone(7, 2, 10e6, 2048),
-        };
+        let ganged = SubmitBody::Ganged(GangedRequest::tone(7, 2, 10e6, 2048));
         assert!(lane_key(&ganged).is_none(), "ganged never coalesces");
+    }
+
+    #[test]
+    fn a_lane_member_whose_client_left_fails_alone() {
+        let (waker, _rx) = waker_pair().unwrap();
+        let cfg = ServerConfig {
+            default_batch: 512,
+            ..ServerConfig::default()
+        };
+        let shared = Arc::new(Shared {
+            pool: adc_runtime::JobPool::new("reactor-test", 7, 1),
+            metrics: Arc::new(crate::metrics::MetricsRegistry::new()),
+            draining: std::sync::atomic::AtomicBool::new(false),
+            cfg: cfg.clone(),
+            caches: crate::jobs::CampaignCaches::new(None),
+            waker: waker.clone(),
+            events: Mutex::new(Vec::new()),
+        });
+        // Room for the whole record, so the surviving member never
+        // blocks on backpressure; the other member's client is gone.
+        let alive = ConnOut::new(16, waker.clone());
+        let gone = ConnOut::new(16, waker);
+        gone.close();
+        let members = [(1u64, &gone, 10u64), (2, &alive, 20)]
+            .into_iter()
+            .map(|(conn, out, corr)| {
+                let sink = ConnSink {
+                    out: Arc::clone(out),
+                    tag: Some(corr),
+                };
+                Member::new(conn, sink)
+            })
+            .collect();
+        let bodies = [tone(3), tone(4)];
+        let mut guard = JobGuard::new(Arc::clone(&shared), true, members);
+        let ctx = JobCtx::standalone(7, JobId(0));
+        let result = serve_job(&cfg, &ctx, &bodies, &mut guard.members);
+        guard.finish();
+        drop(guard);
+        assert_eq!(result, Ok(2048), "the survivor's samples count as served");
+
+        // The survivor's stream reassembles to its own scalar record.
+        let (expected, f_in_hz) = run_digitize(&DigitizeRequest::tone(4, 10e6, 2048)).unwrap();
+        let mut samples = Vec::new();
+        let mut done = None;
+        while let Some(bytes) = alive.pop() {
+            match decode_response(&bytes).unwrap() {
+                Response::Tagged { corr_id: 20, inner } => match *inner {
+                    Response::Batch { samples: chunk, .. } => samples.extend(chunk),
+                    Response::Done(d) => done = Some(d),
+                    other => panic!("unexpected frame {other:?}"),
+                },
+                other => panic!("unexpected frame {other:?}"),
+            }
+        }
+        assert_eq!(samples, expected);
+        let done = done.expect("survivor got its done frame");
+        assert_eq!(done.batches, 4);
+        assert_eq!(done.f_in_hz.to_bits(), f_in_hz.to_bits());
+        assert_eq!(done.stream_crc32, stream_crc(&expected));
+
+        // Exactly one member is reported failed: the one whose client left.
+        let events = std::mem::take(&mut *shared.events.lock().unwrap());
+        let failed: Vec<u64> = events
+            .iter()
+            .filter_map(|event| match event {
+                Event::JobDone {
+                    conn, failed: true, ..
+                } => Some(*conn),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(failed, vec![1]);
+        let done_events = events
+            .iter()
+            .filter(|event| matches!(event, Event::JobDone { .. }))
+            .count();
+        assert_eq!(done_events, 2, "one completion per member");
+        shared.pool.shutdown();
     }
 
     #[test]

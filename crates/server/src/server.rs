@@ -14,10 +14,10 @@
 //!   results are bit-identical for the same config and seed. Workers
 //!   stream response frames into a *bounded* per-connection queue the
 //!   reactor flushes; the bound is the backpressure mechanism.
-//! * Requests pipelined under nonzero correlation ids run concurrently
-//!   (up to the admission caps) and complete out of order; identical
-//!   tone requests arriving together coalesce into one lane-parallel
-//!   pass.
+//! * Digitizations arrive as `Submit` frames under client-chosen
+//!   correlation ids, run concurrently (up to the admission caps), and
+//!   complete out of order; identical tone requests arriving together
+//!   coalesce into one lane-parallel pass.
 //!
 //! ## Deadlines
 //!
@@ -58,7 +58,7 @@ use crate::jobs::{CampaignCaches, JobRunner};
 use crate::metrics::MetricsRegistry;
 use crate::protocol::{
     self, error_code_for_build, DigitizeRequest, ErrorCode, GangedCal, GangedRequest,
-    JobBatchRequest, JobOutcome, JobResultBatch, JobStatus, Preset, WaveformSpec,
+    JobBatchRequest, JobOutcome, JobResultBatch, JobStatus, Preset, SubmitBody, WaveformSpec,
 };
 use crate::reactor::{self, Event, Waker};
 
@@ -403,64 +403,47 @@ pub(crate) fn error_code_for_ganged(err: &GangedError) -> ErrorCode {
     }
 }
 
-/// Request-level validation for ganged requests, mirroring [`validate`].
-pub(crate) fn validate_ganged(req: &GangedRequest, cfg: &ServerConfig) -> Result<(), String> {
-    if req.n_samples == 0 {
-        return Err("n_samples must be positive".to_string());
-    }
-    if req.n_samples > cfg.max_samples {
-        return Err(format!(
-            "n_samples {} exceeds server limit {}",
-            req.n_samples, cfg.max_samples
-        ));
-    }
-    if !req.n_samples.is_power_of_two() {
-        return Err(format!(
-            "ganged captures need a power-of-two record, got {}",
-            req.n_samples
-        ));
-    }
-    if !req.f_target_hz.is_finite() || req.f_target_hz <= 0.0 {
-        return Err(format!(
-            "tone frequency must be positive, got {}",
-            req.f_target_hz
-        ));
-    }
-    Ok(())
-}
-
 /// Request-level validation, before any simulation work is queued.
-pub(crate) fn validate(req: &DigitizeRequest, cfg: &ServerConfig) -> Result<(), String> {
-    if req.n_samples == 0 {
+pub(crate) fn validate(body: &SubmitBody, cfg: &ServerConfig) -> Result<(), String> {
+    // Record length, plus the target frequency of a tone capture (every
+    // ganged capture is one).
+    let (n_samples, tone_hz) = match body {
+        SubmitBody::Digitize(req) => {
+            for (name, v) in [
+                ("f_cr_hz override", req.overrides.f_cr_hz),
+                ("amplitude_v override", req.overrides.amplitude_v),
+            ] {
+                if let Some(v) = v.filter(|v| !v.is_finite()) {
+                    return Err(format!("{name} must be finite, got {v}"));
+                }
+            }
+            let tone_hz = match req.waveform {
+                WaveformSpec::Tone { f_target_hz } => Some(f_target_hz),
+                WaveformSpec::Dc { .. } | WaveformSpec::Ramp { .. } => None,
+            };
+            (req.n_samples, tone_hz)
+        }
+        SubmitBody::Ganged(req) => (req.n_samples, Some(req.f_target_hz)),
+    };
+    if n_samples == 0 {
         return Err("n_samples must be positive".to_string());
     }
-    if req.n_samples > cfg.max_samples {
+    if n_samples > cfg.max_samples {
         return Err(format!(
-            "n_samples {} exceeds server limit {}",
-            req.n_samples, cfg.max_samples
+            "n_samples {n_samples} exceeds server limit {}",
+            cfg.max_samples
         ));
     }
-    if matches!(req.waveform, WaveformSpec::Tone { .. }) && !req.n_samples.is_power_of_two() {
-        return Err(format!(
-            "tone captures need a power-of-two record, got {}",
-            req.n_samples
-        ));
-    }
-    if let WaveformSpec::Tone { f_target_hz } = req.waveform {
+    if let Some(f_target_hz) = tone_hz {
+        if !n_samples.is_power_of_two() {
+            return Err(format!(
+                "tone captures need a power-of-two record, got {n_samples}"
+            ));
+        }
         if !f_target_hz.is_finite() || f_target_hz <= 0.0 {
             return Err(format!(
                 "tone frequency must be positive, got {f_target_hz}"
             ));
-        }
-    }
-    for (name, v) in [
-        ("f_cr_hz override", req.overrides.f_cr_hz),
-        ("amplitude_v override", req.overrides.amplitude_v),
-    ] {
-        if let Some(v) = v {
-            if !v.is_finite() {
-                return Err(format!("{name} must be finite, got {v}"));
-            }
         }
     }
     Ok(())
@@ -583,28 +566,26 @@ mod tests {
     #[test]
     fn validation_rejects_out_of_bounds_requests() {
         let cfg = ServerConfig::default();
+        let check = |req: &DigitizeRequest| validate(&SubmitBody::Digitize(req.clone()), &cfg);
         let mut req = DigitizeRequest::tone(7, 10e6, 0);
-        assert!(validate(&req, &cfg).is_err(), "zero samples");
+        assert!(check(&req).is_err(), "zero samples");
         req.n_samples = cfg.max_samples + 1;
-        assert!(validate(&req, &cfg).is_err(), "too many samples");
+        assert!(check(&req).is_err(), "too many samples");
         req.n_samples = 1000;
-        assert!(validate(&req, &cfg).is_err(), "tone needs power of two");
+        assert!(check(&req).is_err(), "tone needs power of two");
         req.n_samples = 1024;
-        assert!(validate(&req, &cfg).is_ok());
+        assert!(check(&req).is_ok());
         req.overrides = ConfigOverrides {
             f_cr_hz: Some(f64::NAN),
             ..ConfigOverrides::default()
         };
-        assert!(validate(&req, &cfg).is_err(), "NaN override");
+        assert!(check(&req).is_err(), "NaN override");
         let dc = DigitizeRequest {
             waveform: WaveformSpec::Dc { level_v: 0.25 },
             n_samples: 1000,
             ..DigitizeRequest::tone(7, 10e6, 1000)
         };
-        assert!(
-            validate(&dc, &cfg).is_ok(),
-            "dc records need no power of two"
-        );
+        assert!(check(&dc).is_ok(), "dc records need no power of two");
     }
 
     #[test]

@@ -84,6 +84,22 @@ fn ganged(
     }
 }
 
+/// A digitization, as the only framing that carries one: a `Submit`.
+fn submit_digitize(corr_id: u64, req: DigitizeRequest) -> Request {
+    Request::Submit(SubmitRequest {
+        corr_id,
+        body: SubmitBody::Digitize(req),
+    })
+}
+
+/// A ganged digitization under a `Submit`.
+fn submit_ganged(corr_id: u64, req: GangedRequest) -> Request {
+    Request::Submit(SubmitRequest {
+        corr_id,
+        body: SubmitBody::Ganged(req),
+    })
+}
+
 /// A deterministic cluster job batch derived from a handful of scalars,
 /// so the round-trip property covers variable-length job lists and
 /// arbitrary config strings without a bespoke strategy type.
@@ -140,11 +156,11 @@ proptest! {
     ) {
         let request = match kind {
             0 => Request::Ping { token },
-            1 => Request::Digitize(digitize(
+            1 => submit_digitize(token, digitize(
                 preset_tag, seed, mask, wf_tag, f_a, f_b, n_samples, batch_size, deadline_ms,
             )),
             2 => Request::Metrics,
-            3 => Request::Ganged(ganged(
+            3 => submit_ganged(token, ganged(
                 preset_tag, seed, channels, mask, f_a, n_samples, batch_size, deadline_ms,
             )),
             4 => Request::Shutdown,
@@ -159,8 +175,8 @@ proptest! {
                 campaign: format!("fill-{}", token & 0xF),
                 entries: cache_entries(seed, n_samples as usize % 16, batch_size as usize),
             }),
-            // Pipelined submissions: the correlation id (any u64,
-            // including 0 = legacy ordered mode) must survive exactly.
+            // Submissions with a body picked by the waveform tag: the
+            // correlation id (any u64, 0 included) must survive exactly.
             _ => Request::Submit(SubmitRequest {
                 corr_id: token,
                 body: if wf_tag % 2 == 0 {
@@ -199,7 +215,7 @@ proptest! {
         } else {
             raw_channels
         };
-        let request = Request::Ganged(ganged(
+        let request = submit_ganged(seed, ganged(
             preset_tag, seed, bad_channels, flags, f_a, n_samples, 0, 0,
         ));
         // The encoder writes whatever it is given; the decoder must
@@ -216,7 +232,7 @@ proptest! {
         n_samples in 1u32..100_000,
         cut_frac in 0.0f64..1.0,
     ) {
-        let frame = encode_request(&Request::Ganged(GangedRequest {
+        let frame = encode_request(&submit_ganged(seed, GangedRequest {
             channels,
             n_samples,
             ..GangedRequest::tone(seed, 2, 20e6, 4096)
@@ -468,11 +484,10 @@ proptest! {
         n_samples in 1u32..10_000,
         cut_frac in 0.0f64..1.0,
     ) {
-        let frame = encode_request(&Request::Digitize(DigitizeRequest::tone(
+        let frame = encode_request(&submit_digitize(
             seed,
-            10e6,
-            n_samples,
-        )));
+            DigitizeRequest::tone(seed, 10e6, n_samples),
+        ));
         let cut = ((frame.len() as f64 * cut_frac) as usize).min(frame.len() - 1);
         prop_assert!(decode_request(&frame[..cut]).is_err());
     }
