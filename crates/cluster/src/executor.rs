@@ -38,7 +38,10 @@
 //! ## Cache merging
 //!
 //! Before computing, worker 0 of each host probes the host's warm
-//! cache for every still-undone key (*query-before-compute*); after a
+//! cache for every still-undone key (*query-before-compute*). The
+//! host's other workers wait for that sweep, so it only ever finds
+//! entries that were warm before the campaign reached the host, never a
+//! job a sibling connection has just computed; after a
 //! successful campaign it pushes the computed lines back
 //! (*fill-after-compute*), so caches converge across the cluster
 //! through the shared canonical-key namespace. An attached local
@@ -182,6 +185,8 @@ struct Sched {
     failed: Option<ClusterError>,
     next_batch_id: u64,
     host_down: Vec<bool>,
+    /// Per host: worker 0's pre-compute cache sweep has finished.
+    swept: Vec<bool>,
     stats: ClusterStats,
 }
 
@@ -282,6 +287,7 @@ impl ClusterExecutor {
             failed: None,
             next_batch_id: 0,
             host_down: vec![false; self.peers.len()],
+            swept: vec![false; self.peers.len()],
             stats: ClusterStats {
                 jobs: n as u64,
                 hosts: self.peers.len() as u64,
@@ -640,6 +646,20 @@ fn prefetch(shared: &Shared, campaign: &ClusterCampaign, client: &mut Client) {
     }
 }
 
+/// Holds a host's workers other than slot 0 until that host's cache
+/// sweep has finished (or the host is lost). Dispatching earlier would
+/// let the sweep find a job a sibling connection had just computed and
+/// book it as a prefetch hit, so the accounting would depend on timing.
+fn await_sweep(shared: &Shared, host: usize) {
+    let mut sched = shared.lock();
+    while !sched.swept[host] && !sched.host_down[host] {
+        sched = shared
+            .cv
+            .wait(sched)
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+    }
+}
+
 /// Post-campaign cache merge: pushes every computed line to the host
 /// (fill-after-compute). Best-effort; the host dedups.
 fn backfill(shared: &Shared, campaign: &ClusterCampaign, client: &mut Client) {
@@ -680,6 +700,10 @@ fn host_worker(
     };
     if slot == 0 {
         prefetch(shared, campaign, &mut client);
+        shared.lock().swept[host] = true;
+        shared.cv.notify_all();
+    } else {
+        await_sweep(shared, host);
     }
     loop {
         let (batch_id, ids) = match take_work(shared, options, host) {

@@ -140,10 +140,10 @@ pub struct LaneBatch {
     decisions: Vec<StageDecision>,
     /// Per-lane conversion period, seconds.
     periods: Vec<f64>,
-    /// Lane-major pre-evaluated waveform values for exact-grid (jitter
-    /// off) lanes: `values[l·total + k]`.
+    /// Pre-evaluated waveform values, one row per exact-grid (jitter
+    /// off) lane only: `values[row·total + k]`, rows in lane order.
     values: Vec<f64>,
-    /// Lane-major pre-evaluated waveform slopes (exact-grid lanes).
+    /// Pre-evaluated waveform slopes, laid out like `values`.
     slopes: Vec<f64>,
     /// Gathered per-lane SplitMix64 sample-noise states, advanced in
     /// vectorizable stripes and scattered back when the batch completes.
@@ -367,21 +367,25 @@ impl LaneBatch {
         // striped per site (mixed sigmas).
         let block_plan = self.plan_block();
 
-        // Exact-grid lanes (jitter off) evaluate their whole record in
-        // one batched fill, exactly as the scalar path does; jittered
-        // lanes must evaluate per sample *after* their jitter draw.
-        self.values.resize(total * n, 0.0);
-        self.slopes.resize(total * n, 0.0);
+        // Exact-grid lanes (jitter off) fill their own row `grid[l]` in
+        // one batched pass, exactly as the scalar path does; jittered
+        // lanes get no row and evaluate per sample after their jitter draw.
+        let mut grid = vec![None; n];
+        let mut rows = 0;
         for (l, w) in waveforms.iter().enumerate() {
             // adc-lint: allow(float-eq) reason="feature gate: zero jitter sigma selects the exact-grid batch path, mirroring the scalar converter"
             if self.lanes[l].config.jitter.sigma_s == 0.0 {
-                let span = l * total..(l + 1) * total;
+                let span = rows * total..(rows + 1) * total;
+                self.values.resize(span.end, 0.0);
+                self.slopes.resize(span.end, 0.0);
                 w.fill_with_slope(
                     0.0,
                     self.periods[l],
                     &mut self.values[span.clone()],
                     &mut self.slopes[span],
                 );
+                grid[l] = Some(rows);
+                rows += 1;
             }
         }
 
@@ -414,12 +418,9 @@ impl LaneBatch {
             for l in 0..n {
                 let lane = &mut self.lanes[l];
                 let period = self.periods[l];
-                // adc-lint: allow(float-eq) reason="feature gate: zero jitter sigma selects the exact-grid batch path, mirroring the scalar converter"
-                let (v, dvdt) = if lane.config.jitter.sigma_s == 0.0 {
-                    (self.values[l * total + k], self.slopes[l * total + k])
-                } else {
-                    let t = k as f64 * period + self.noise_v[l];
-                    waveforms[l].sample_at(t)
+                let (v, dvdt) = match grid[l] {
+                    Some(row) => (self.values[row * total + k], self.slopes[row * total + k]),
+                    None => waveforms[l].sample_at(k as f64 * period + self.noise_v[l]),
                 };
                 self.x[l] = lane.front_end.track(v, dvdt, period);
                 self.adsc_err[l] = lane.adsc_skew_s * dvdt;
@@ -689,6 +690,42 @@ mod tests {
         let records = batch.convert_waveforms(&waves, 200);
         assert_eq!(records[0], scalar_record(&config, 3, &tone, 200));
         assert_eq!(records[1], scalar_record(&config, 9, &tone2, 200));
+    }
+
+    #[test]
+    fn mixed_jitter_lanes_match_scalar_with_per_lane_waveforms() {
+        // Jittered and exact-grid dies alternate, so from lane 1 on a
+        // lane's index and its exact-grid buffer row disagree.
+        let jittered = AdcConfig::nominal_110ms();
+        let mut exact = AdcConfig::nominal_110ms();
+        exact.jitter.sigma_s = 0.0;
+        let configs: Vec<AdcConfig> = (0..6)
+            .map(|l| if l % 2 == 0 { &jittered } else { &exact }.clone())
+            .collect();
+        let seeds: Vec<u64> = (21..27).collect();
+        let tones: Vec<Box<dyn Fn(f64) -> f64>> = (0..6)
+            .map(|l| {
+                let f = 7.3e6 + 4.1e6 * f64::from(l);
+                Box::new(move |t: f64| 0.9 * (2.0 * std::f64::consts::PI * f * t).sin())
+                    as Box<dyn Fn(f64) -> f64>
+            })
+            .collect();
+        let dies = configs
+            .iter()
+            .zip(&seeds)
+            .map(|(config, &seed)| PipelineAdc::build(config.clone(), seed).unwrap())
+            .collect();
+        let mut batch = LaneBatch::from_adcs(dies).unwrap();
+        let waves: Vec<&dyn Waveform> = tones.iter().map(|w| w as &dyn Waveform).collect();
+        let records = batch.convert_waveforms(&waves, 300);
+        for l in 0..6 {
+            assert_eq!(
+                records[l],
+                scalar_record(&configs[l], seeds[l], waves[l], 300),
+                "lane {l} (jitter {}) diverged from the scalar path",
+                configs[l].jitter.sigma_s
+            );
+        }
     }
 
     #[test]

@@ -320,10 +320,14 @@ pub fn run_monte_carlo(
 
 /// [`run_monte_carlo`] with an explicit execution policy.
 ///
-/// Dies are independent jobs — die `k` is fabricated from seed `k` and
-/// measured on its own session — so the result is bit-identical whatever
-/// `policy.threads` is; one diverging die fails its own job without
-/// killing the yield run (its absence surfaces as the build error).
+/// Dies are independent jobs — die `k` is fabricated from seed `k` — so
+/// the result is bit-identical whatever `policy.threads` is; one
+/// diverging die fails its own group without killing the yield run (its
+/// absence surfaces as the build error). Dies run in lane groups
+/// through [`measure_dies_laned`], as wide as the [`RunPolicy`] width
+/// rule gives for `die_count`; a group of one takes the scalar
+/// [`measure_die`]. Per-lane bit-exactness makes the grouping
+/// invisible in the results and the per-die cache entries.
 ///
 /// # Errors
 ///
@@ -337,34 +341,26 @@ pub fn run_monte_carlo_with(
 ) -> Result<MonteCarloResult, BuildAdcError> {
     let plan = monte_carlo_plan(config, die_count, f_in_target_hz, record_len);
     let funnel = ErrorFunnel::new();
-    let dies = if policy.lanes > 1 {
-        // Lane-batched: groups of dies advance through one LaneBench in
-        // lock-step. Same per-die cache keys, same results (per-lane
-        // bit-exactness), different wall time.
-        let run = policy.run_campaign_grouped(
-            &plan.campaign,
-            plan.seed,
-            plan.die_seeds,
-            policy.lanes,
-            |ctxs, seeds| {
-                for ctx in ctxs {
-                    ctx.record_samples(record_len as u64);
+    let run = policy.run_campaign_grouped(
+        &plan.campaign,
+        plan.seed,
+        plan.die_seeds,
+        policy.lane_width(die_count),
+        |ctxs, seeds| {
+            for ctx in ctxs {
+                ctx.record_samples(record_len as u64);
+            }
+            let dies = match *seeds {
+                [&seed] => measure_die(config, seed, f_in_target_hz, record_len).map(|d| vec![d]),
+                _ => {
+                    let seeds: Vec<u64> = seeds.iter().map(|&&s| s).collect();
+                    measure_dies_laned(config, &seeds, f_in_target_hz, record_len)
                 }
-                let seeds: Vec<u64> = seeds.iter().map(|&&s| s).collect();
-                measure_dies_laned(config, &seeds, f_in_target_hz, record_len)
-                    .map_err(|e| funnel.capture(ctxs[0].id, e))
-            },
-        );
-        funnel.resolve(run)?
-    } else {
-        let run = policy.run_campaign(&plan.campaign, plan.seed, plan.die_seeds, |ctx, &seed| {
-            ctx.record_samples(record_len as u64);
-            measure_die(config, seed, f_in_target_hz, record_len)
-                .map_err(|e| funnel.capture(ctx.id, e))
-        });
-        funnel.resolve(run)?
-    };
-    Ok(summarize_dies(dies))
+            };
+            dies.map_err(|e| funnel.capture(ctxs[0].id, e))
+        },
+    );
+    Ok(summarize_dies(funnel.resolve(run)?))
 }
 
 #[cfg(test)]
@@ -466,42 +462,47 @@ mod tests {
     }
 
     #[test]
-    fn laned_campaign_is_bit_identical_to_serial() {
+    fn grouped_campaign_matches_a_serial_map_of_measure_die() {
+        // The oracle is the plain per-die function mapped in seed order.
+        // (dies, threads) give lane widths 1, 6, and 8 with a one-die
+        // tail group, which takes the scalar path.
         let config = AdcConfig::nominal_110ms();
-        let serial =
-            run_monte_carlo_with(&config, 6, 10e6, 1024, &RunPolicy::serial()).expect("runs");
-        // Both a full batch and a ragged tail (6 dies in lanes of 4).
-        for lanes in [4, 8] {
-            let laned =
-                run_monte_carlo_with(&config, 6, 10e6, 1024, &RunPolicy::serial().laned(lanes))
+        for (dies, threads) in [(2, 2), (6, 1), (17, 2)] {
+            let oracle: Vec<DieResult> = (1..=dies as u64)
+                .map(|seed| measure_die(&config, seed, 10e6, 1024).unwrap())
+                .collect();
+            let grouped =
+                run_monte_carlo_with(&config, dies, 10e6, 1024, &RunPolicy::parallel(threads))
                     .expect("runs");
-            assert_eq!(serial, laned, "{lanes}-lane campaign diverged");
+            assert_eq!(
+                grouped,
+                summarize_dies(oracle),
+                "{dies} dies at {threads} threads diverged"
+            );
         }
     }
 
     #[test]
-    fn laned_and_scalar_campaigns_share_one_cache_namespace() {
+    fn a_cache_warmed_at_one_lane_width_serves_another() {
+        use adc_runtime::CollectingObserver;
         use std::sync::Arc;
         let config = AdcConfig::nominal_110ms();
         let cache = Arc::new(adc_runtime::ResultCache::in_memory());
-        let scalar = run_monte_carlo_with(
-            &config,
-            4,
-            10e6,
-            1024,
-            &RunPolicy::serial().cached(Arc::clone(&cache)),
-        )
-        .expect("runs");
-        // The laned rerun is all cache hits: the dies come back from the
-        // scalar run's entries, bit-identically.
-        let laned = run_monte_carlo_with(
-            &config,
-            4,
-            10e6,
-            1024,
-            &RunPolicy::serial().cached(Arc::clone(&cache)).laned(4),
-        )
-        .expect("runs");
-        assert_eq!(scalar, laned);
+        let run = |threads| {
+            let observer = Arc::new(CollectingObserver::default());
+            let policy = RunPolicy::parallel(threads)
+                .cached(Arc::clone(&cache))
+                .observe(Arc::clone(&observer) as _);
+            let mc = run_monte_carlo_with(&config, 8, 10e6, 1024, &policy).expect("runs");
+            let groups_run = observer.reports.lock().unwrap().len();
+            (mc, groups_run)
+        };
+        // One thread: a single 8-lane group fills the cache.
+        let (cold, cold_groups) = run(1);
+        assert_eq!(cold_groups, 1);
+        // Four threads would form 2-lane groups, but every die is a hit.
+        let (warm, warm_groups) = run(4);
+        assert_eq!(warm_groups, 0, "the warm rerun computed a die");
+        assert_eq!(cold, warm);
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! Every sweep and Monte-Carlo harness in this crate fans its points out
 //! through `adc-runtime`; [`RunPolicy`] is the shared knob set (thread
-//! count, observers) those harnesses accept. The engine's determinism
-//! contract means the policy affects wall time only — results are
-//! bit-identical from `serial()` to `parallel(64)`.
+//! count, observers, cache) those harnesses accept. The engine's
+//! determinism contract means the policy affects wall time only —
+//! results are bit-identical from `serial()` to `parallel(64)`.
 
 use std::sync::{Arc, Mutex};
 
@@ -13,8 +13,20 @@ use adc_runtime::{
     canonical_key, CacheCodec, Campaign, CampaignRun, JobError, JobId, ResultCache, RunObserver,
 };
 
+/// Widest lane group a campaign forms: the width the SoA kernel's
+/// 2.2× throughput figure is measured at (DESIGN.md §16).
+const MAX_LANE_WIDTH: usize = 8;
+
 /// How a campaign executes: worker-thread count, attached observers, and
 /// an optional content-hash result cache.
+///
+/// There is no lane setting. Lane-compatible campaigns (Monte-Carlo die
+/// measurement) always group their jobs through the SoA lane kernel,
+/// `min(8, ceil(jobs / threads))` to a group, with `threads == 0`
+/// resolved to the hardware parallelism: at most one group per worker,
+/// unless the 8-lane cap makes more. A group of one runs the scalar
+/// per-job path. Per-lane bit-exactness makes the width invisible in
+/// the results.
 #[derive(Clone, Default)]
 pub struct RunPolicy {
     /// Worker threads; `0` (default) uses all hardware parallelism.
@@ -25,13 +37,6 @@ pub struct RunPolicy {
     /// regenerating a figure after editing one sweep point recomputes
     /// only that point.
     pub cache: Option<Arc<ResultCache>>,
-    /// Lane-batch width for lane-compatible campaigns (Monte-Carlo die
-    /// measurement): groups of up to `lanes` jobs advance through the
-    /// SoA lane kernel together instead of one session each. `0` or `1`
-    /// (the default) runs scalar per-job sessions. Per-lane
-    /// bit-exactness means the results are identical either way — only
-    /// wall time changes.
-    pub lanes: usize,
 }
 
 impl std::fmt::Debug for RunPolicy {
@@ -40,7 +45,6 @@ impl std::fmt::Debug for RunPolicy {
             .field("threads", &self.threads)
             .field("observers", &self.observers.len())
             .field("cached", &self.cache.is_some())
-            .field("lanes", &self.lanes)
             .finish()
     }
 }
@@ -76,12 +80,14 @@ impl RunPolicy {
         self
     }
 
-    /// Sets the lane-batch width for lane-compatible campaigns (builder
-    /// style); see [`RunPolicy::lanes`].
-    #[must_use]
-    pub fn laned(mut self, lanes: usize) -> Self {
-        self.lanes = lanes;
-        self
+    /// The lane-group width for `jobs` lane-compatible jobs: see the
+    /// type docs.
+    pub(crate) fn lane_width(&self, jobs: usize) -> usize {
+        let threads = match self.threads {
+            0 => adc_runtime::default_threads(),
+            n => n,
+        };
+        jobs.div_ceil(threads).clamp(1, MAX_LANE_WIDTH)
     }
 
     /// Builds a campaign over `inputs` configured per this policy.
@@ -252,6 +258,18 @@ mod tests {
         assert!(p.observers.is_empty());
         assert_eq!(RunPolicy::serial().threads, 1);
         assert_eq!(RunPolicy::parallel(4).threads, 4);
+    }
+
+    #[test]
+    fn lane_width_spreads_jobs_over_workers_up_to_eight() {
+        let width = |jobs, threads| RunPolicy::parallel(threads).lane_width(jobs);
+        assert_eq!(width(32, 2), 8, "four groups over two workers");
+        assert_eq!(width(2, 2), 1);
+        assert_eq!(width(6, 1), 6);
+        assert_eq!(width(17, 2), 8);
+        assert_eq!(width(0, 3), 1, "never a zero-width group");
+        let hw = adc_runtime::default_threads();
+        assert_eq!(RunPolicy::default().lane_width(hw), 1);
     }
 
     #[test]
