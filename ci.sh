@@ -42,19 +42,16 @@
 #                  served records in process bit for bit — so this
 #                  stage checks that the server serves exactly the
 #                  records the benchmark measures
-#   perf        -- regression gate: regenerates BENCH_runtime.json,
-#                  BENCH_service.json, BENCH_dsp.json,
-#                  BENCH_interleave.json, and BENCH_cluster.json in a
-#                  scratch dir and diffs them against the baselines
-#                  committed at HEAD with `bench_compare` (±30% on
-#                  samples/sec, p99 latency, DSP-kernel us/call,
-#                  ganged-array us/epoch, cluster jobs/sec, and — via
-#                  --lanes — the DSP lane-axis rows: laned samples/sec
-#                  and speedup vs scalar per lane count; exempt across
-#                  differing host_cpus; the DSP, interleave, and
-#                  cluster comparisons are skipped when HEAD predates
-#                  their reports, and the lane axis is advisory while
-#                  the baseline predates the lanes field). Advisory by
+#   perf        -- regression gate: runs each bench emitter once
+#                  (bench_runtime, bench_service, bench_dsp,
+#                  bench_interleave, bench_cluster), keeps the fresh
+#                  BENCH_*.json in target/perf/, and diffs them row by
+#                  row against the reports committed at HEAD with
+#                  `bench_compare` (±30% in each row's `better`
+#                  direction; a baseline row missing from the fresh
+#                  run fails; absolute rows are exempt when host_cpus
+#                  differ, host-relative rows are gated everywhere).
+#                  Every baseline must exist at HEAD. Advisory by
 #                  default; fatal under --deny-perf.
 #
 # Every run writes target/ci_summary.json (stage wall-clock + status +
@@ -205,34 +202,24 @@ stage_bench_smoke() {
 }
 
 stage_perf() {
+  # Fresh reports stay in target/perf/ (the nightly workflow uploads
+  # them; a baseline refresh copies them to the repo root).
   baseline="$SCRATCH/baseline"
-  fresh="$SCRATCH/fresh"
+  fresh="$PWD/target/perf"
+  rm -rf "$fresh"
   mkdir -p "$baseline" "$fresh"
-  if ! git show HEAD:BENCH_runtime.json > "$baseline/BENCH_runtime.json" 2>/dev/null ||
-     ! git show HEAD:BENCH_service.json > "$baseline/BENCH_service.json" 2>/dev/null; then
-    echo "no committed BENCH baselines at HEAD; skipping perf gate"
-    return 0
-  fi
-  # BENCH_dsp.json, BENCH_interleave.json, and BENCH_cluster.json are
-  # newer than the other baselines; bench_compare skips their
-  # comparisons gracefully when HEAD predates them.
-  git show HEAD:BENCH_dsp.json > "$baseline/BENCH_dsp.json" 2>/dev/null ||
-    rm -f "$baseline/BENCH_dsp.json"
-  git show HEAD:BENCH_interleave.json > "$baseline/BENCH_interleave.json" 2>/dev/null ||
-    rm -f "$baseline/BENCH_interleave.json"
-  git show HEAD:BENCH_cluster.json > "$baseline/BENCH_cluster.json" 2>/dev/null ||
-    rm -f "$baseline/BENCH_cluster.json"
+  for report in BENCH_runtime.json BENCH_service.json BENCH_dsp.json \
+      BENCH_interleave.json BENCH_cluster.json; do
+    git show "HEAD:$report" > "$baseline/$report"
+  done
   cargo build --release -q -p adc-bench --bins
   bin_dir="$PWD/target/release"
   (cd "$fresh" && "$bin_dir/bench_runtime" && "$bin_dir/bench_service" &&
     "$bin_dir/bench_dsp" && "$bin_dir/bench_interleave" && "$bin_dir/bench_cluster")
   deny_flag=()
   [ "$DENY_PERF" = 1 ] && deny_flag=(--deny-perf)
-  # --lanes adds the DSP lane-axis rows (laned samples/sec and speedup
-  # vs scalar per lane count); advisory automatically while the HEAD
-  # baseline predates the lanes field.
   "$bin_dir/bench_compare" --baseline-dir "$baseline" --fresh-dir "$fresh" \
-    --lanes "${deny_flag[@]}"
+    "${deny_flag[@]}"
 }
 
 for stage in "${SELECTED[@]}"; do

@@ -1,44 +1,34 @@
-//! Perf-regression gate: diffs freshly generated `BENCH_runtime.json`,
-//! `BENCH_service.json`, `BENCH_dsp.json`, `BENCH_interleave.json`,
-//! and `BENCH_cluster.json` against committed baselines.
+//! Perf-regression gate: diffs freshly generated `BENCH_*.json`
+//! reports against committed baselines, row by row.
 //!
 //! ```text
 //! bench_compare [--baseline-dir DIR] [--fresh-dir DIR]
-//!               [--tolerance PCT] [--deny-perf] [--lanes]
+//!               [--tolerance PCT] [--deny-perf]
 //! ```
 //!
-//! For every campaign in the runtime report the parallel `samples_per_sec`
-//! is compared, and for the service report `samples_per_sec` plus the
-//! client p99 latency. The DSP report compares single-thread conversion
-//! `samples_per_sec` per configuration row and `fft_real` `us_per_call`
-//! per record length; the interleave report compares ganged-array
-//! conversion `samples_per_sec` and background-calibration
-//! `us_per_epoch` per array row; the cluster report compares
-//! distributed campaign `jobs_per_sec` per host-count row. These
-//! reports are *optional* — when either side
-//! lacks the file (a baseline predating the report) the comparison is
-//! skipped rather than failed. `--lanes` adds the DSP report's
-//! lane-parallel axis: laned conversion samples/sec *and* the
-//! scalar-relative speedup per lane count, advisory (printed, not
-//! diffed) when the baseline predates the `lanes` field. A figure regresses when it is worse than the baseline by
-//! more than the tolerance (default 30%): throughput lower, latency
-//! higher. Improvements always pass.
+//! Every report of [`REPORTS`] is read from both directories under the
+//! ledger's row schema ([`adc_bench::ledger`]), and every baseline row
+//! is looked up by name in the fresh report of the same file. A row
+//! regresses when it is worse than its baseline by more than the
+//! tolerance (default 30%) in the row's `better` direction;
+//! improvements always pass. A baseline row the fresh report lacks
+//! fails: a renamed or dropped figure is a gate that silently stopped
+//! holding. Fresh rows the baseline lacks are listed as new.
 //!
-//! Benchmarks are only comparable between like machines, so when the
-//! `provenance.host_cpus` stamps differ the comparison is *exempt*: the
-//! diff is still printed but regressions cannot fail the gate. Baselines
-//! predating the provenance stamp fall back to the top-level
-//! `host_cpus` field, else count as unknown (treated as a host mismatch).
+//! Absolute rows are comparable only between hosts with the same CPU
+//! count: when the `provenance.host_cpus` stamps differ they are
+//! printed but exempt. `host_relative` rows are ratios of two rows of
+//! one run, so they are gated on any host.
 //!
-//! Exit status: `0` when clean, exempt, or regressions found without
-//! `--deny-perf`; `1` on regressions under `--deny-perf`; `2` on
-//! usage/parse errors. CI runs the gate non-fatally by default
+//! Exit status: `0` when nothing fails, or failures are found without
+//! `--deny-perf`; `1` on failures under `--deny-perf`; `2` on usage,
+//! read, or schema errors. CI runs the gate non-fatally by default
 //! (`./ci.sh perf`) and hardens it with `./ci.sh --deny-perf perf`.
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
-use adc_trace::json::{self, Json};
+use adc_bench::ledger::{Better, Report, REPORTS};
 
 /// Default regression tolerance, percent.
 const DEFAULT_TOLERANCE_PCT: f64 = 30.0;
@@ -48,12 +38,11 @@ struct Options {
     fresh_dir: String,
     tolerance_pct: f64,
     deny_perf: bool,
-    lanes: bool,
 }
 
 fn usage() -> String {
     "usage: bench_compare [--baseline-dir DIR] [--fresh-dir DIR] \
-     [--tolerance PCT] [--deny-perf] [--lanes]"
+     [--tolerance PCT] [--deny-perf]"
         .to_string()
 }
 
@@ -63,7 +52,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         fresh_dir: ".".to_string(),
         tolerance_pct: DEFAULT_TOLERANCE_PCT,
         deny_perf: false,
-        lanes: false,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -86,7 +74,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     })?;
             }
             "--deny-perf" => opts.deny_perf = true,
-            "--lanes" => opts.lanes = true,
             "--help" | "-h" => return Err(usage()),
             other => return Err(format!("unknown argument {other}\n{}", usage())),
         }
@@ -94,353 +81,116 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
-/// Walks `doc` down a `.`-separated path of object keys.
-fn lookup<'a>(doc: &'a Json, path: &str) -> Option<&'a Json> {
-    path.split('.').try_fold(doc, |node, key| node.get(key))
+/// What the gate makes of one baseline row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Verdict {
+    /// Within tolerance, or better.
+    Ok,
+    /// Worse than tolerance: fails.
+    Regressed,
+    /// Worse than tolerance, but an absolute row from a host with a
+    /// different CPU count: printed, does not fail.
+    Exempt,
+    /// The fresh report lacks the row: fails.
+    Missing,
+    /// A fresh row with no baseline: printed, does not fail.
+    New,
 }
 
-fn lookup_f64(doc: &Json, path: &str) -> Option<f64> {
-    lookup(doc, path).and_then(Json::as_f64)
-}
-
-/// The `host_cpus` stamp of a report: the provenance object when
-/// present, else the legacy top-level field of pre-provenance baselines.
-fn host_cpus(doc: &Json) -> Option<f64> {
-    lookup_f64(doc, "provenance.host_cpus").or_else(|| lookup_f64(doc, "host_cpus"))
-}
-
-/// Which way "worse" points for a figure.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Direction {
-    /// Bigger is better (throughput): a drop is a regression.
-    HigherIsBetter,
-    /// Smaller is better (latency): a rise is a regression.
-    LowerIsBetter,
-}
-
-struct Comparison {
+struct Line {
     label: String,
-    baseline: f64,
-    fresh: f64,
-    delta_pct: f64,
-    regressed: bool,
-}
-
-/// Compares one figure; `None` when either side lacks it (e.g. a
-/// campaign renamed between baseline and fresh runs).
-fn compare(
-    label: &str,
     baseline: Option<f64>,
     fresh: Option<f64>,
-    dir: Direction,
-    tolerance_pct: f64,
-) -> Option<Comparison> {
-    let (baseline, fresh) = (baseline?, fresh?);
-    if baseline <= 0.0 {
-        return None;
-    }
-    let delta_pct = (fresh - baseline) / baseline * 100.0;
-    let worse_pct = match dir {
-        Direction::HigherIsBetter => -delta_pct,
-        Direction::LowerIsBetter => delta_pct,
-    };
-    Some(Comparison {
-        label: label.to_string(),
-        baseline,
-        fresh,
-        delta_pct,
-        regressed: worse_pct > tolerance_pct,
-    })
+    verdict: Verdict,
 }
 
-/// Collects the runtime-report comparisons: parallel samples/sec per
-/// campaign, matched by campaign name.
-fn compare_runtime(baseline: &Json, fresh: &Json, tolerance_pct: f64) -> Vec<Comparison> {
-    let campaigns = |doc: &Json| -> Vec<(String, f64)> {
-        lookup(doc, "campaigns")
-            .and_then(Json::as_arr)
-            .map(|arr| {
-                arr.iter()
-                    .filter_map(|c| {
-                        let name = c.get("name")?.as_str()?.to_string();
-                        let sps = lookup_f64(c, "parallel.samples_per_sec")?;
-                        Some((name, sps))
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
-    };
-    let base = campaigns(baseline);
-    let new = campaigns(fresh);
-    base.iter()
-        .filter_map(|(name, b)| {
-            let f = new.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
-            compare(
-                &format!("runtime {name} samples/sec"),
-                Some(*b),
-                f,
-                Direction::HigherIsBetter,
-                tolerance_pct,
-            )
+/// Diffs one report: a line per baseline row, then one per new row.
+fn diff(file: &str, baseline: &Report, fresh: &Report, tolerance_pct: f64) -> Vec<Line> {
+    let same_host = baseline.provenance.host_cpus == fresh.provenance.host_cpus;
+    let label = |name: &str| format!("{file} {name}");
+    let mut lines: Vec<Line> = baseline
+        .rows
+        .iter()
+        .map(|b| {
+            let fresh = fresh.row(&b.name).map(|f| f.value);
+            let verdict = match fresh {
+                None => Verdict::Missing,
+                Some(f) => {
+                    let delta_pct = (f - b.value) / b.value * 100.0;
+                    let worse_pct = match b.better {
+                        Better::Higher => -delta_pct,
+                        Better::Lower => delta_pct,
+                    };
+                    if worse_pct <= tolerance_pct {
+                        Verdict::Ok
+                    } else if same_host || b.host_relative {
+                        Verdict::Regressed
+                    } else {
+                        Verdict::Exempt
+                    }
+                }
+            };
+            Line {
+                label: label(&b.name),
+                baseline: Some(b.value),
+                fresh,
+                verdict,
+            }
         })
-        .collect()
+        .collect();
+    lines.extend(
+        fresh
+            .rows
+            .iter()
+            .filter(|f| baseline.row(&f.name).is_none())
+            .map(|f| Line {
+                label: label(&f.name),
+                baseline: None,
+                fresh: Some(f.value),
+                verdict: Verdict::New,
+            }),
+    );
+    lines
 }
 
-/// Collects the service-report comparisons: end-to-end throughput and
-/// latency figures. The saturation / default-load rows only exist in
-/// open-loop-generator reports; [`compare`] skips any row the baseline
-/// predates, so the two schemas compare cleanly across the cutover.
-fn compare_service(baseline: &Json, fresh: &Json, tolerance_pct: f64) -> Vec<Comparison> {
-    [
-        (
-            "service samples/sec",
-            "samples_per_sec",
-            Direction::HigherIsBetter,
-            1.0,
-        ),
-        (
-            "service requests/sec",
-            "requests_per_sec",
-            Direction::HigherIsBetter,
-            1.0,
-        ),
-        (
-            "service saturation req/s",
-            "saturation_rps",
-            Direction::HigherIsBetter,
-            1.0,
-        ),
-        // Client-observed open-loop tail latency counts generator-side
-        // scheduling noise on a shared 1-CPU host (multi-ms ambient
-        // stalls land right at the p99 rank), so it swings ~2x between
-        // otherwise identical runs — gate it at double tolerance. The
-        // server-side default-load p99 below is the stable tail gate.
-        (
-            "service client p99 latency (us)",
-            "client_latency_us.p99",
-            Direction::LowerIsBetter,
-            2.0,
-        ),
-        (
-            "service default-load server p99 (us)",
-            "default_load.server_latency_us.p99",
-            Direction::LowerIsBetter,
-            1.0,
-        ),
-    ]
-    .iter()
-    .filter_map(|(label, path, dir, tol_mult)| {
-        compare(
-            label,
-            lookup_f64(baseline, path),
-            lookup_f64(fresh, path),
-            *dir,
-            tolerance_pct * tol_mult,
-        )
-    })
-    .collect()
+fn failures(lines: &[Line]) -> usize {
+    lines
+        .iter()
+        .filter(|l| matches!(l.verdict, Verdict::Regressed | Verdict::Missing))
+        .count()
 }
 
-/// Collects the DSP-kernel comparisons: single-thread conversion
-/// samples/sec per configuration row and `fft_real` microseconds per
-/// call per record length.
-fn compare_dsp(baseline: &Json, fresh: &Json, tolerance_pct: f64) -> Vec<Comparison> {
-    let conversions = |doc: &Json| -> Vec<(String, f64)> {
-        lookup(doc, "conversion")
-            .and_then(Json::as_arr)
-            .map(|arr| {
-                arr.iter()
-                    .filter_map(|c| {
-                        let name = c.get("name")?.as_str()?.to_string();
-                        let sps = lookup_f64(c, "samples_per_sec")?;
-                        Some((name, sps))
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
-    };
-    let ffts = |doc: &Json| -> Vec<(u64, f64)> {
-        lookup(doc, "fft")
-            .and_then(Json::as_arr)
-            .map(|arr| {
-                arr.iter()
-                    .filter_map(|f| {
-                        let n = lookup_f64(f, "n")? as u64;
-                        let us = lookup_f64(f, "us_per_call")?;
-                        Some((n, us))
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
-    };
-    let mut rows = Vec::new();
-    let new_conv = conversions(fresh);
-    for (name, b) in conversions(baseline) {
-        let f = new_conv.iter().find(|(n, _)| *n == name).map(|(_, v)| *v);
-        rows.extend(compare(
-            &format!("dsp conversion {name} samples/sec"),
-            Some(b),
-            f,
-            Direction::HigherIsBetter,
-            tolerance_pct,
-        ));
-    }
-    let new_fft = ffts(fresh);
-    for (n, b) in ffts(baseline) {
-        let f = new_fft.iter().find(|(m, _)| *m == n).map(|(_, v)| *v);
-        rows.extend(compare(
-            &format!("dsp fft_real n={n} us/call"),
-            Some(b),
-            f,
-            Direction::LowerIsBetter,
-            tolerance_pct,
-        ));
-    }
-    rows
-}
-
-/// The DSP report's lane-axis rows: `(lane count, samples/sec,
-/// speedup vs the scalar nominal row of the same run)`.
-fn lanes_rows(doc: &Json) -> Vec<(u64, f64, f64)> {
-    lookup(doc, "lanes")
-        .and_then(Json::as_arr)
-        .map(|arr| {
-            arr.iter()
-                .filter_map(|l| {
-                    let lanes = lookup_f64(l, "lanes")? as u64;
-                    let sps = lookup_f64(l, "samples_per_sec")?;
-                    let speedup = lookup_f64(l, "speedup_vs_scalar")?;
-                    Some((lanes, sps, speedup))
-                })
-                .collect()
-        })
-        .unwrap_or_default()
-}
-
-/// Collects the `--lanes` axis comparisons over the DSP report: laned
-/// conversion samples/sec *and* the scalar-relative speedup, per lane
-/// count. Diffing the speedup as well as the raw throughput catches the
-/// failure mode a throughput-only diff misses — the laned kernel
-/// quietly degrading toward the scalar path while both rows drift
-/// within tolerance on an otherwise-slower run.
-fn compare_dsp_lanes(baseline: &Json, fresh: &Json, tolerance_pct: f64) -> Vec<Comparison> {
-    let new = lanes_rows(fresh);
-    let mut rows = Vec::new();
-    for (lanes, b_sps, b_speedup) in lanes_rows(baseline) {
-        let fresh_row = new.iter().find(|(l, _, _)| *l == lanes);
-        rows.extend(compare(
-            &format!("dsp lanes={lanes} samples/sec"),
-            Some(b_sps),
-            fresh_row.map(|&(_, sps, _)| sps),
-            Direction::HigherIsBetter,
-            tolerance_pct,
-        ));
-        rows.extend(compare(
-            &format!("dsp lanes={lanes} speedup vs scalar"),
-            Some(b_speedup),
-            fresh_row.map(|&(_, _, s)| s),
-            Direction::HigherIsBetter,
-            tolerance_pct,
-        ));
-    }
-    rows
-}
-
-/// Collects the interleave-report comparisons: ganged-array conversion
-/// samples/sec and background-calibration microseconds per epoch, each
-/// matched by row name.
-fn compare_interleave(baseline: &Json, fresh: &Json, tolerance_pct: f64) -> Vec<Comparison> {
-    let named = |doc: &Json, key: &str, field: &str| -> Vec<(String, f64)> {
-        lookup(doc, key)
-            .and_then(Json::as_arr)
-            .map(|arr| {
-                arr.iter()
-                    .filter_map(|c| {
-                        let name = c.get("name")?.as_str()?.to_string();
-                        let value = lookup_f64(c, field)?;
-                        Some((name, value))
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
-    };
-    let mut rows = Vec::new();
-    let new_conv = named(fresh, "convert", "samples_per_sec");
-    for (name, b) in named(baseline, "convert", "samples_per_sec") {
-        let f = new_conv.iter().find(|(n, _)| *n == name).map(|(_, v)| *v);
-        rows.extend(compare(
-            &format!("interleave convert {name} samples/sec"),
-            Some(b),
-            f,
-            Direction::HigherIsBetter,
-            tolerance_pct,
-        ));
-    }
-    let new_calib = named(fresh, "calib", "us_per_epoch");
-    for (name, b) in named(baseline, "calib", "us_per_epoch") {
-        let f = new_calib.iter().find(|(n, _)| *n == name).map(|(_, v)| *v);
-        rows.extend(compare(
-            &format!("interleave calib {name} us/epoch"),
-            Some(b),
-            f,
-            Direction::LowerIsBetter,
-            tolerance_pct,
-        ));
-    }
-    rows
-}
-
-/// Collects the cluster-report comparisons: distributed campaign
-/// jobs/sec per host-count row, matched by row name.
-fn compare_cluster(baseline: &Json, fresh: &Json, tolerance_pct: f64) -> Vec<Comparison> {
-    let rows_of = |doc: &Json| -> Vec<(String, f64)> {
-        lookup(doc, "cluster")
-            .and_then(Json::as_arr)
-            .map(|arr| {
-                arr.iter()
-                    .filter_map(|c| {
-                        let name = c.get("name")?.as_str()?.to_string();
-                        let jps = lookup_f64(c, "jobs_per_sec")?;
-                        Some((name, jps))
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
-    };
-    let new = rows_of(fresh);
-    rows_of(baseline)
-        .into_iter()
-        .filter_map(|(name, b)| {
-            let f = new.iter().find(|(n, _)| *n == name).map(|(_, v)| *v);
-            compare(
-                &format!("cluster {name} jobs/sec"),
-                Some(b),
-                f,
-                Direction::HigherIsBetter,
-                tolerance_pct,
-            )
-        })
-        .collect()
-}
-
-fn load(dir: &str, file: &str) -> Result<Json, String> {
-    let path = format!("{}/{file}", dir.trim_end_matches('/'));
-    let text = std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    json::parse(&text).map_err(|e| format!("{path}: {e}"))
-}
-
-fn render(rows: &[Comparison]) -> String {
+fn render(lines: &[Line]) -> String {
     let mut out = String::new();
-    let width = rows.iter().map(|r| r.label.len()).max().unwrap_or(0);
-    for r in rows {
-        let verdict = if r.regressed { "REGRESSED" } else { "ok" };
+    let width = lines.iter().map(|l| l.label.len()).max().unwrap_or(0);
+    let cell = |v: Option<f64>| v.map_or_else(|| "-".to_string(), |v| format!("{v:.4}"));
+    for l in lines {
+        let delta = match (l.baseline, l.fresh) {
+            (Some(b), Some(f)) => format!("{:+.1}%", (f - b) / b * 100.0),
+            _ => String::new(),
+        };
+        let verdict = match l.verdict {
+            Verdict::Ok => "ok",
+            Verdict::Regressed => "REGRESSED",
+            Verdict::Exempt => "exempt (host_cpus differ)",
+            Verdict::Missing => "MISSING from fresh report",
+            Verdict::New => "new",
+        };
         let _ = writeln!(
             out,
-            "  {:<width$}  baseline {:>12.1}  fresh {:>12.1}  {:>+7.1}%  {verdict}",
-            r.label, r.baseline, r.fresh, r.delta_pct,
+            "  {:<width$}  baseline {:>14}  fresh {:>14}  {delta:>8}  {verdict}",
+            l.label,
+            cell(l.baseline),
+            cell(l.fresh),
         );
     }
     out
+}
+
+fn load(dir: &str, file: &str) -> Result<Report, String> {
+    let path = format!("{}/{file}", dir.trim_end_matches('/'));
+    let text = std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    Report::parse(&text).map_err(|e| format!("{path}: {e}"))
 }
 
 fn main() -> ExitCode {
@@ -453,82 +203,42 @@ fn main() -> ExitCode {
         }
     };
 
-    // `optional` reports skip the comparison gracefully when the
-    // baseline lacks the file (a report introduced after the committed
-    // baseline was generated); required ones are parse errors.
-    let pairs = [
-        (
-            "BENCH_runtime.json",
-            compare_runtime as fn(&Json, &Json, f64) -> Vec<Comparison>,
-            false,
-        ),
-        ("BENCH_service.json", compare_service, false),
-        ("BENCH_dsp.json", compare_dsp, true),
-        ("BENCH_interleave.json", compare_interleave, true),
-        ("BENCH_cluster.json", compare_cluster, true),
-    ];
-    let mut rows = Vec::new();
-    let mut host_mismatch = false;
-    for (file, diff, optional) in pairs {
-        let (baseline, fresh) = match (load(&opts.baseline_dir, file), load(&opts.fresh_dir, file))
-        {
-            (Ok(b), Ok(f)) => (b, f),
-            (Err(e), _) | (_, Err(e)) if optional => {
-                println!("{file}: {e} -- skipping comparison (report is optional)");
-                continue;
-            }
-            (Err(e), _) | (_, Err(e)) => {
+    let mut lines = Vec::new();
+    for file in REPORTS {
+        let loaded = load(&opts.baseline_dir, file)
+            .and_then(|baseline| Ok((baseline, load(&opts.fresh_dir, file)?)));
+        let (baseline, fresh) = match loaded {
+            Ok(pair) => pair,
+            Err(e) => {
                 eprintln!("bench_compare: {e}");
                 return ExitCode::from(2);
             }
         };
-        let (b_cpus, f_cpus) = (host_cpus(&baseline), host_cpus(&fresh));
-        if b_cpus.is_none() || b_cpus != f_cpus {
+        let (b_cpus, f_cpus) = (baseline.provenance.host_cpus, fresh.provenance.host_cpus);
+        if b_cpus != f_cpus {
             println!(
-                "{file}: host_cpus differ (baseline {:?}, fresh {:?}) -- figures \
-                 are not comparable, regressions exempt",
-                b_cpus, f_cpus
+                "{file}: host_cpus differ (baseline {b_cpus}, fresh {f_cpus}) -- \
+                 absolute rows exempt, host-relative rows gated"
             );
-            host_mismatch = true;
         }
-        rows.extend(diff(&baseline, &fresh, opts.tolerance_pct));
-        if opts.lanes && file == "BENCH_dsp.json" {
-            if lanes_rows(&baseline).is_empty() {
-                // Baseline predates the lanes axis: nothing to diff, so
-                // print the fresh figures and move on without a gate.
-                println!(
-                    "{file}: baseline predates the lanes axis -- advisory only; fresh figures:"
-                );
-                for (lanes, sps, speedup) in lanes_rows(&fresh) {
-                    println!("  dsp lanes={lanes}  {sps:.0} samples/sec  {speedup:.2}x vs scalar");
-                }
-            } else {
-                rows.extend(compare_dsp_lanes(&baseline, &fresh, opts.tolerance_pct));
-            }
-        }
+        lines.extend(diff(file, &baseline, &fresh, opts.tolerance_pct));
     }
 
     println!(
         "perf diff vs baseline ({}% tolerance):\n{}",
         opts.tolerance_pct,
-        render(&rows)
+        render(&lines)
     );
-    let regressions = rows.iter().filter(|r| r.regressed).count();
-    if regressions == 0 {
+    let failed = failures(&lines);
+    if failed == 0 {
         println!("no perf regressions");
         return ExitCode::SUCCESS;
     }
-    if host_mismatch {
-        println!("{regressions} regression(s) IGNORED: baseline from a different host");
-        return ExitCode::SUCCESS;
-    }
     if opts.deny_perf {
-        println!("{regressions} perf regression(s) beyond tolerance (--deny-perf)");
+        println!("{failed} perf failure(s) beyond tolerance (--deny-perf)");
         return ExitCode::FAILURE;
     }
-    println!(
-        "{regressions} perf regression(s) beyond tolerance (advisory; pass --deny-perf to fail)"
-    );
+    println!("{failed} perf failure(s) beyond tolerance (advisory; pass --deny-perf to fail)");
     ExitCode::SUCCESS
 }
 
@@ -536,145 +246,101 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn doc(text: &str) -> Json {
-        json::parse(text).expect("test json parses")
+    /// A synthetic report on a `cpus`-CPU host: one absolute row in each
+    /// direction and one host-relative row.
+    fn report(cpus: usize, throughput: f64, latency: f64, speedup: f64) -> Report {
+        Report::parse(&format!(
+            r#"{{"provenance":{{"git_commit":"abc","host_cpus":{cpus},"os":"linux"}},"rows":[
+              {{"name":"throughput","unit":"samples/s","value":{throughput},"n":30,"better":"higher","host_relative":false}},
+              {{"name":"latency","unit":"us","value":{latency},"n":30,"better":"lower","host_relative":false}},
+              {{"name":"speedup","unit":"x","value":{speedup},"n":9,"better":"higher","host_relative":true}}]}}"#
+        ))
+        .expect("synthetic report parses")
+    }
+
+    /// The fresh report is `baseline` with row `name` made 2x worse.
+    fn slowed(baseline: &Report, name: &str) -> Report {
+        let mut fresh = baseline.clone();
+        let row = fresh.rows.iter_mut().find(|r| r.name == name).expect("row");
+        row.value = match row.better {
+            Better::Higher => row.value / 2.0,
+            Better::Lower => row.value * 2.0,
+        };
+        fresh
     }
 
     #[test]
-    fn throughput_drop_beyond_tolerance_regresses() {
-        let c = compare(
-            "t",
-            Some(1000.0),
-            Some(600.0),
-            Direction::HigherIsBetter,
-            30.0,
-        )
-        .expect("comparable");
-        assert!(c.regressed);
-        let c = compare(
-            "t",
-            Some(1000.0),
-            Some(800.0),
-            Direction::HigherIsBetter,
-            30.0,
-        )
-        .expect("comparable");
-        assert!(!c.regressed);
+    fn a_2x_slowdown_in_any_single_row_fails_when_host_cpus_match() {
+        let baseline = report(2, 1.0e6, 3000.0, 2.2);
+        for row in &baseline.rows {
+            let lines = diff(
+                "BENCH_x.json",
+                &baseline,
+                &slowed(&baseline, &row.name),
+                DEFAULT_TOLERANCE_PCT,
+            );
+            assert_eq!(failures(&lines), 1, "{}", row.name);
+            let hit = lines.iter().find(|l| l.verdict == Verdict::Regressed);
+            assert_eq!(
+                hit.map(|l| l.label.as_str()),
+                Some(format!("BENCH_x.json {}", row.name).as_str())
+            );
+        }
     }
 
     #[test]
-    fn latency_rise_beyond_tolerance_regresses() {
-        let c = compare(
-            "l",
-            Some(100.0),
-            Some(150.0),
-            Direction::LowerIsBetter,
-            30.0,
-        )
-        .expect("comparable");
-        assert!(c.regressed);
-        // A latency *improvement* of any size passes.
-        let c = compare("l", Some(100.0), Some(20.0), Direction::LowerIsBetter, 30.0)
-            .expect("comparable");
-        assert!(!c.regressed);
+    fn a_2x_change_in_a_host_relative_row_fails_when_host_cpus_differ() {
+        let baseline = report(1, 1.0e6, 3000.0, 2.2);
+        let fresh = slowed(&report(2, 1.0e6, 3000.0, 2.2), "speedup");
+        let lines = diff("BENCH_x.json", &baseline, &fresh, DEFAULT_TOLERANCE_PCT);
+        assert_eq!(failures(&lines), 1);
+        assert_eq!(lines[2].label, "BENCH_x.json speedup");
+        assert_eq!(lines[2].verdict, Verdict::Regressed);
     }
 
     #[test]
-    fn runtime_campaigns_match_by_name() {
-        let baseline = doc(r#"{"campaigns":[
-                {"name":"a","parallel":{"samples_per_sec":1000}},
-                {"name":"gone","parallel":{"samples_per_sec":1}}]}"#);
-        let fresh = doc(r#"{"campaigns":[{"name":"a","parallel":{"samples_per_sec":500}}]}"#);
-        let rows = compare_runtime(&baseline, &fresh, 30.0);
-        assert_eq!(rows.len(), 1, "unmatched campaign is skipped");
-        assert!(rows[0].regressed);
+    fn absolute_rows_on_a_mismatched_host_are_printed_but_do_not_fail() {
+        let baseline = report(1, 1.0e6, 3000.0, 2.2);
+        let fresh = report(2, 0.5e6, 6000.0, 2.2);
+        let lines = diff("BENCH_x.json", &baseline, &fresh, DEFAULT_TOLERANCE_PCT);
+        assert_eq!(failures(&lines), 0);
+        let shown: Vec<Verdict> = lines.iter().map(|l| l.verdict).collect();
+        assert_eq!(shown, [Verdict::Exempt, Verdict::Exempt, Verdict::Ok]);
+        let table = render(&lines);
+        assert!(table.contains("BENCH_x.json throughput") && table.contains("-50.0%"));
+        assert!(table.contains("exempt (host_cpus differ)"));
     }
 
     #[test]
-    fn dsp_rows_match_by_name_and_record_length() {
-        let baseline = doc(r#"{
-            "conversion":[{"name":"nominal","samples_per_sec":1000000},
-                          {"name":"gone","samples_per_sec":1}],
-            "fft":[{"n":4096,"us_per_call":30.0},{"n":8192,"us_per_call":70.0}]}"#);
-        let fresh = doc(r#"{
-            "conversion":[{"name":"nominal","samples_per_sec":500000}],
-            "fft":[{"n":4096,"us_per_call":29.0},{"n":8192,"us_per_call":200.0}]}"#);
-        let rows = compare_dsp(&baseline, &fresh, 30.0);
-        assert_eq!(rows.len(), 3, "unmatched conversion row is skipped");
-        let conv = &rows[0];
-        assert!(conv.label.contains("nominal") && conv.regressed);
-        let fft_ok = &rows[1];
-        assert!(fft_ok.label.contains("4096") && !fft_ok.regressed);
-        let fft_bad = &rows[2];
-        assert!(fft_bad.label.contains("8192") && fft_bad.regressed);
+    fn a_baseline_row_absent_from_the_fresh_report_fails() {
+        let baseline = report(2, 1.0e6, 3000.0, 2.2);
+        for host_cpus in [2, 3] {
+            let mut fresh = report(host_cpus, 1.0e6, 3000.0, 2.2);
+            fresh.rows.retain(|r| r.name != "latency");
+            fresh.rows[0].name = "throughput_renamed".into();
+            let lines = diff("BENCH_x.json", &baseline, &fresh, DEFAULT_TOLERANCE_PCT);
+            assert_eq!(failures(&lines), 2, "host_cpus {host_cpus}");
+            let missing: Vec<&str> = lines
+                .iter()
+                .filter(|l| l.verdict == Verdict::Missing)
+                .map(|l| l.label.as_str())
+                .collect();
+            assert_eq!(missing, ["BENCH_x.json throughput", "BENCH_x.json latency"]);
+            assert_eq!(lines.last().map(|l| l.verdict), Some(Verdict::New));
+        }
     }
 
     #[test]
-    fn interleave_rows_match_by_name_in_both_directions() {
-        let baseline = doc(r#"{
-            "convert":[{"name":"m2_matched","samples_per_sec":2000000},
-                       {"name":"gone","samples_per_sec":1}],
-            "calib":[{"name":"m2","us_per_epoch":900.0}]}"#);
-        let fresh = doc(r#"{
-            "convert":[{"name":"m2_matched","samples_per_sec":1000000}],
-            "calib":[{"name":"m2","us_per_epoch":2000.0}]}"#);
-        let rows = compare_interleave(&baseline, &fresh, 30.0);
-        assert_eq!(rows.len(), 2, "unmatched convert row is skipped");
-        assert!(rows[0].label.contains("m2_matched") && rows[0].regressed);
-        // Calibration epoch time is lower-is-better: the rise regresses.
-        assert!(rows[1].label.contains("us/epoch") && rows[1].regressed);
+    fn improvements_pass() {
+        let baseline = report(2, 1.0e6, 3000.0, 2.2);
+        let fresh = report(2, 5.0e6, 100.0, 9.0);
+        let lines = diff("BENCH_x.json", &baseline, &fresh, DEFAULT_TOLERANCE_PCT);
+        assert_eq!(failures(&lines), 0);
+        assert!(lines.iter().all(|l| l.verdict == Verdict::Ok));
     }
 
     #[test]
-    fn cluster_rows_match_by_host_count_name() {
-        let baseline = doc(r#"{
-            "cluster":[{"name":"hosts1","jobs_per_sec":1000.0},
-                       {"name":"hosts2","jobs_per_sec":1700.0},
-                       {"name":"gone","jobs_per_sec":1.0}]}"#);
-        let fresh = doc(r#"{
-            "cluster":[{"name":"hosts1","jobs_per_sec":950.0},
-                       {"name":"hosts2","jobs_per_sec":400.0}]}"#);
-        let rows = compare_cluster(&baseline, &fresh, 30.0);
-        assert_eq!(rows.len(), 2, "unmatched cluster row is skipped");
-        assert!(rows[0].label.contains("hosts1") && !rows[0].regressed);
-        assert!(rows[1].label.contains("hosts2") && rows[1].regressed);
-    }
-
-    #[test]
-    fn lanes_axis_diffs_throughput_and_speedup_per_lane_count() {
-        let baseline = doc(r#"{
-            "lanes":[{"lanes":1,"samples_per_sec":900000,"speedup_vs_scalar":1.1},
-                     {"lanes":8,"samples_per_sec":14000000,"speedup_vs_scalar":2.3},
-                     {"lanes":16,"samples_per_sec":1,"speedup_vs_scalar":1.0}]}"#);
-        let fresh = doc(r#"{
-            "lanes":[{"lanes":1,"samples_per_sec":880000,"speedup_vs_scalar":1.05},
-                     {"lanes":8,"samples_per_sec":13500000,"speedup_vs_scalar":1.2}]}"#);
-        let rows = compare_dsp_lanes(&baseline, &fresh, 30.0);
-        assert_eq!(rows.len(), 4, "unmatched lane count is skipped");
-        assert!(rows.iter().all(|r| r.label.starts_with("dsp lanes=")));
-        // Raw throughput held on both matched lane counts...
-        assert!(!rows[0].regressed && !rows[2].regressed);
-        // ...but the 8-lane speedup collapsed toward scalar: that is
-        // exactly what the speedup row exists to catch.
-        assert!(rows[3].label.contains("speedup") && rows[3].regressed);
-    }
-
-    #[test]
-    fn lanes_axis_is_empty_when_baseline_predates_the_field() {
-        assert!(lanes_rows(&doc(r#"{"conversion":[]}"#)).is_empty());
-    }
-
-    #[test]
-    fn host_cpus_prefers_provenance_and_falls_back() {
-        let stamped = doc(r#"{"provenance":{"host_cpus":8},"host_cpus":2}"#);
-        assert_eq!(host_cpus(&stamped), Some(8.0));
-        let legacy = doc(r#"{"host_cpus":2}"#);
-        assert_eq!(host_cpus(&legacy), Some(2.0));
-        assert_eq!(host_cpus(&doc("{}")), None);
-    }
-
-    #[test]
-    fn options_parse_and_reject_bad_tolerance() {
+    fn options_parse_and_reject_bad_tolerance_and_retired_flags() {
         let opts = parse_options(&[
             "--baseline-dir".into(),
             "b".into(),
@@ -687,6 +353,6 @@ mod tests {
         assert_eq!(opts.tolerance_pct, 12.5);
         assert!(opts.deny_perf);
         assert!(parse_options(&["--tolerance".into(), "-3".into()]).is_err());
-        assert!(parse_options(&["--bogus".into()]).is_err());
+        assert!(parse_options(&["--lanes".into()]).is_err());
     }
 }

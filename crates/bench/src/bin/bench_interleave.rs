@@ -1,50 +1,29 @@
 //! Interleaved-array hot-path benchmark, written to `BENCH_interleave.json`.
 //!
-//! Two figure families (DESIGN.md §13):
+//! Two row families (DESIGN.md §13):
 //!
-//! * **convert** — single-thread interleaved `convert_waveform`
-//!   samples/sec through an M-way array, one row per path the ganged
+//! * `convert.<array>` — single-thread interleaved `convert_waveform`
+//!   samples/s through an M-way array, one row per path the ganged
 //!   server can exercise: the matched array (zero-sigma fast paths),
 //!   the mismatched raw array (per-channel bandwidth filtering active),
-//!   and the corrected array (fractional-delay resampler active) — so a
-//!   regression in any specialized lane is visible on its own row;
-//! * **calib** — background-calibration microseconds per epoch
-//!   (convert + observe + apply), the recurring cost a ganged service
-//!   pays while the loop is in Adapt.
+//!   and the corrected array (fractional-delay resampler active), plus
+//!   the host-relative `convert.corrected_over_matched` — what the
+//!   resampler costs, on any host;
+//! * `calib.<array>` — background-calibration µs per epoch (convert +
+//!   observe + apply), the recurring cost a ganged service pays while
+//!   the loop is in Adapt.
 //!
-//! Each figure is the best window out of many short measurement windows
-//! covering at least [`MIN_WALL_S`] of wall time (minimum-time
-//! estimator, same rationale as `bench_dsp`). The report carries the
-//! standard provenance stamp so `bench_compare` refuses cross-host
-//! comparisons; the comparison is optional there, so baselines
-//! predating this report skip rather than fail.
+//! All six windows are timed as one interleaved group
+//! ([`adc_bench::ledger::best_windows`]).
 
-use std::time::Instant;
-
+use adc_bench::ledger::{Better, Report, Timed};
 use adc_calib::{BackgroundCalibrator, CalibConfig};
 use adc_pipeline::config::AdcConfig;
 use adc_pipeline::interleave::{InterleaveMismatch, InterleavedAdc};
 use adc_testbench::GOLDEN_SEED;
 
-/// Minimum total wall time per measurement, seconds.
-const MIN_WALL_S: f64 = 0.3;
-
 /// Record length per conversion window.
 const RECORD_LEN: usize = 4096;
-
-/// One interleaved-conversion measurement.
-struct ConvertFigure {
-    name: &'static str,
-    samples_per_sec: f64,
-    records: usize,
-}
-
-/// One calibration-epoch measurement.
-struct CalibFigure {
-    name: &'static str,
-    us_per_epoch: f64,
-    epochs: usize,
-}
 
 /// Builds an M-way array on the nominal config at `M x` the core rate.
 fn build_array(m: usize, mismatch: &InterleaveMismatch) -> InterleavedAdc {
@@ -52,76 +31,6 @@ fn build_array(m: usize, mismatch: &InterleaveMismatch) -> InterleavedAdc {
     let rate = config.f_cr_hz * m as f64;
     InterleavedAdc::build_with_mismatch(&config, m, rate, GOLDEN_SEED, mismatch)
         .expect("benchmark array builds")
-}
-
-/// The coherent-ish benchmark stimulus for an array at `rate`.
-fn tone(rate: f64, amplitude: f64) -> impl Fn(f64) -> f64 {
-    let (f_in, _) = adc_spectral::window::coherent_frequency(rate, RECORD_LEN, 20e6);
-    move |t: f64| amplitude * (2.0 * std::f64::consts::PI * f_in * t).sin()
-}
-
-/// Times the interleaved conversion path of one array configuration.
-fn bench_convert(name: &'static str, mut ilv: InterleavedAdc) -> ConvertFigure {
-    let wave = tone(ilv.sample_rate_hz(), 0.9);
-
-    // Warm up code paths and per-channel settling memory.
-    ilv.reset();
-    let record = ilv.convert_waveform(&wave, RECORD_LEN);
-    assert_eq!(record.len(), RECORD_LEN);
-
-    let mut records = 0usize;
-    let mut best_record_s = f64::INFINITY;
-    let start = Instant::now();
-    loop {
-        ilv.reset();
-        let window = Instant::now();
-        let record = ilv.convert_waveform(&wave, RECORD_LEN);
-        best_record_s = best_record_s.min(window.elapsed().as_secs_f64());
-        assert_eq!(record.len(), RECORD_LEN);
-        records += 1;
-        if start.elapsed().as_secs_f64() >= MIN_WALL_S && records >= 4 {
-            break;
-        }
-    }
-    ConvertFigure {
-        name,
-        samples_per_sec: RECORD_LEN as f64 / best_record_s.max(1e-12),
-        records,
-    }
-}
-
-/// Times one full background-calibration epoch (convert + observe +
-/// apply) on a mismatched M-way array.
-fn bench_calib(name: &'static str, m: usize) -> CalibFigure {
-    let mut ilv = build_array(m, &InterleaveMismatch::typical());
-    let rate = ilv.sample_rate_hz();
-    let wave = tone(rate, 0.9);
-    let mut cal = BackgroundCalibrator::new(m, rate, CalibConfig::default());
-
-    // Warm-up epoch.
-    let record = ilv.convert_waveform(&wave, RECORD_LEN);
-    cal.observe(&record).expect("epoch record is long enough");
-    cal.apply_to(&mut ilv);
-
-    let mut epochs = 0usize;
-    let mut best_epoch_s = f64::INFINITY;
-    let start = Instant::now();
-    loop {
-        let window = Instant::now();
-        let record = ilv.convert_waveform(&wave, RECORD_LEN);
-        cal.observe(&record).expect("epoch record is long enough");
-        cal.apply_to(&mut ilv);
-        best_epoch_s = best_epoch_s.min(window.elapsed().as_secs_f64());
-        epochs += 1;
-        if start.elapsed().as_secs_f64() >= MIN_WALL_S && epochs >= 4 {
-            break;
-        }
-    }
-    CalibFigure {
-        name,
-        us_per_epoch: best_epoch_s * 1e6,
-        epochs,
-    }
 }
 
 /// A mismatched array with the fractional-delay corrector engaged:
@@ -135,61 +44,63 @@ fn corrected_array(m: usize) -> InterleavedAdc {
     ilv
 }
 
+/// The coherent-ish benchmark stimulus for an array at `rate`.
+fn tone(rate: f64) -> impl Fn(f64) -> f64 {
+    let (f_in, _) = adc_spectral::window::coherent_frequency(rate, RECORD_LEN, 20e6);
+    move |t: f64| 0.9 * (2.0 * std::f64::consts::PI * f_in * t).sin()
+}
+
+/// The interleaved conversion path of one array, one record per
+/// window.
+fn convert(name: &str, mut ilv: InterleavedAdc) -> Timed<'static> {
+    let wave = tone(ilv.sample_rate_hz());
+    Timed::rate(
+        &format!("convert.{name}"),
+        "samples/s",
+        RECORD_LEN,
+        move || {
+            ilv.reset();
+            assert_eq!(ilv.convert_waveform(&wave, RECORD_LEN).len(), RECORD_LEN);
+        },
+    )
+}
+
+/// Full background-calibration epochs on a mismatched M-way array, one
+/// epoch per window.
+fn calib(m: usize) -> Timed<'static> {
+    let mut ilv = build_array(m, &InterleaveMismatch::typical());
+    let rate = ilv.sample_rate_hz();
+    let wave = tone(rate);
+    let mut cal = BackgroundCalibrator::new(m, rate, CalibConfig::default());
+    Timed::micros(&format!("calib.m{m}"), "us/epoch", 1, move || {
+        let record = ilv.convert_waveform(&wave, RECORD_LEN);
+        cal.observe(&record).expect("epoch record is long enough");
+        cal.apply_to(&mut ilv);
+    })
+}
+
 fn main() {
     adc_bench::banner(
         "Interleaved array -- conversion and background-calibration hot paths",
         "single-thread ganged-array throughput (BENCH_interleave.json)",
     );
-
-    let converts = vec![
-        bench_convert("m2_matched", build_array(2, &InterleaveMismatch::none())),
-        bench_convert(
+    let mut report = Report::capture();
+    report.time(vec![
+        convert("m2_matched", build_array(2, &InterleaveMismatch::none())),
+        convert(
             "m2_mismatch_raw",
             build_array(2, &InterleaveMismatch::typical()),
         ),
-        bench_convert("m2_mismatch_corrected", corrected_array(2)),
-        bench_convert("m4_mismatch_corrected", corrected_array(4)),
-    ];
-    for c in &converts {
-        println!(
-            "convert {:<22} {:>10.0} samples/sec  (best of {} records of {})",
-            c.name, c.samples_per_sec, c.records, RECORD_LEN
-        );
-    }
-
-    let calibs = vec![bench_calib("m2", 2), bench_calib("m4", 4)];
-    for c in &calibs {
-        println!(
-            "calib   {:<22} {:>10.1} us/epoch     (best of {} epochs of {})",
-            c.name, c.us_per_epoch, c.epochs, RECORD_LEN
-        );
-    }
-
-    let convert_json: Vec<String> = converts
-        .iter()
-        .map(|c| {
-            format!(
-                "    {{ \"name\": \"{}\", \"samples_per_sec\": {:.0}, \"records\": {} }}",
-                c.name, c.samples_per_sec, c.records
-            )
-        })
-        .collect();
-    let calib_json: Vec<String> = calibs
-        .iter()
-        .map(|c| {
-            format!(
-                "    {{ \"name\": \"{}\", \"us_per_epoch\": {:.3}, \"epochs\": {} }}",
-                c.name, c.us_per_epoch, c.epochs
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"benchmark\": \"interleaved array and background calibration\",\n  {},\n  \"record_len\": {},\n  \"convert\": [\n{}\n  ],\n  \"calib\": [\n{}\n  ]\n}}\n",
-        adc_bench::Provenance::capture().json_entry(),
-        RECORD_LEN,
-        convert_json.join(",\n"),
-        calib_json.join(",\n"),
+        convert("m2_mismatch_corrected", corrected_array(2)),
+        convert("m4_mismatch_corrected", corrected_array(4)),
+        calib(2),
+        calib(4),
+    ]);
+    report.ratio(
+        "convert.corrected_over_matched",
+        "convert.m2_mismatch_corrected",
+        "convert.m2_matched",
+        Better::Higher,
     );
-    std::fs::write("BENCH_interleave.json", &json).expect("write BENCH_interleave.json");
-    println!("\nwrote BENCH_interleave.json");
+    report.write("BENCH_interleave.json");
 }

@@ -28,8 +28,14 @@
 //! `ADC_CACHE_DIR=path` persists a content-hash point cache so
 //! re-running a figure recomputes only changed points (empty disables;
 //! default `target/campaign-cache`).
+//!
+//! The `bench_*` emitters time the system itself and write the
+//! `BENCH_*.json` perf ledger through [`ledger`]: one best-window
+//! timing harness and one row schema, which `bench_compare` diffs
+//! against the committed baselines.
 
 pub mod cli;
+pub mod ledger;
 pub mod provenance;
 
 use adc_testbench::RunPolicy;
